@@ -1,45 +1,32 @@
-"""Vectorized + lazy-greedy fast path for IQN's Select-Best-Peer loop.
+"""Vectorized fast path for IQN's Select-Best-Peer loop.
 
 The naive loop in :mod:`repro.core.iqn` re-estimates novelty for every
 remaining candidate on every iteration — ``O(C)`` synopsis evaluations
 per selected peer, each one fresh big-int / Python work.  This module
-replaces that with two exact fast paths that produce *bit-identical*
-plans (same peers, same novelty/quality floats, same tie-breaks):
+replaces that with one exact driver that produces *bit-identical* plans
+(same peers, same novelty/quality floats, same tie-breaks) for every
+synopsis family.
 
-**Tier 1 — CELF lazy greedy (Bloom filters).**  Bloom novelty is provably
-monotone non-increasing as the reference grows: absorbing a peer only
-ORs bits into the reference, so ``cand AND NOT ref`` loses bits, its
-popcount ``t`` cannot grow, the linear-counting inversion is increasing
-in ``t``, and the final clamp preserves monotonicity.  Stale scores are
-therefore true upper bounds, and the classic CELF strategy applies: keep
-candidates in a max-heap keyed by stale ``quality * novelty``,
-re-evaluate only the popped top until the top is current.  A defensive
-bound check triggers a full refresh if monotonicity were ever violated
-(it cannot be, for Bloom), so correctness never rests on the proof.
+**Exact incremental invalidation.**  Each family kernel caches every
+candidate's integer sufficient statistic against the reference (Bloom:
+popcount of ``cand AND NOT ref``; MIPs: matching-minima count; hash
+sketch: per-bucket first-zero positions; LogLog: merged-register sum
+and empty count).  After each absorb it detects *exactly* which rows
+the reference change can affect and recomputes only those.  Turning
+statistics into novelty floats is a vectorized O(C) pass per round
+using lookup tables indexed by the integer statistic — the tables are
+filled by the same scalar :mod:`math`-based code the synopses use, so
+no NumPy transcendental (whose libm may differ by ULPs) ever touches
+the value path.  The next peer is the argmax of ``quality * novelty``
+with the naive loop's tie-breaks (quality, then peer id).
 
-**Tier 2 — exact incremental invalidation (MIPs, hash sketches,
-LogLog).**  These families' novelty estimates are *not* monotone under
-absorb — the tracked reference cardinality and the union estimate drift
-at different rates, so a candidate's novelty can tick *up* after an
-absorb and stale heap bounds are unsound.  Instead we cache each
-candidate's integer sufficient statistic against the reference (MIPs:
-matching-minima count; hash sketch: per-bucket first-zero positions;
-LogLog: merged-register sum and empty count) and, after each absorb,
-detect *exactly* which rows the reference change can affect and
-recompute only those.  Turning statistics into novelty floats is a
-vectorized O(C) pass per round using lookup tables indexed by the
-integer statistic — the tables are filled by the same scalar
-:mod:`math`-based code the synopses use, so no NumPy transcendental
-(whose libm may differ by ULPs) ever touches the value path.
-
-Both tiers drive the *same* aggregation state objects as the naive loop
+The driver runs the *same* aggregation state objects as the naive loop
 (via ``start``/``absorb``), so reference synopses and cardinalities
 evolve identically and stopping criteria see identical inputs.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence, overload
 
@@ -109,12 +96,13 @@ class RoutingStats:
     """Counters surfaced by :class:`~repro.core.iqn.IQNRouter`.
 
     ``novelty_evaluations`` counts per-candidate synopsis-level novelty
-    computations actually performed (initial batch, lazy re-evaluations,
-    affected-row refreshes, and the absorb-time recompute inside the
-    aggregation strategy).  ``naive_evaluations`` is what the naive loop
-    would have spent on the same plan — the sum of remaining-candidate
-    counts over rounds — so ``naive_evaluations / novelty_evaluations``
-    is the measured savings factor.
+    computations actually performed (initial batch, affected-row
+    refreshes, and the absorb-time recompute inside the aggregation
+    strategy).  ``naive_evaluations`` is what the naive loop would have
+    spent on the same plan — the sum of remaining-candidate counts over
+    rounds — so ``naive_evaluations / novelty_evaluations`` is the
+    measured savings factor; the fast path never exceeds
+    ``naive_evaluations + rounds``.
 
     ``attach`` records where the kernels got their matrices: ``"columns"``
     when they attached straight to the directory's packed column store
@@ -127,7 +115,6 @@ class RoutingStats:
     rounds: int = 0
     novelty_evaluations: int = 0
     naive_evaluations: int = 0
-    bound_refreshes: int = 0
     attach: str = "objects"
 
     @property
@@ -151,11 +138,12 @@ class RoutingStats:
 
 
 class _BloomColumn:
-    """Packed-bit Bloom novelty kernel (CELF tier).
+    """Packed-bit Bloom novelty kernel.
 
     Operates on an already-packed ``(C, words)`` uint64 bit-matrix —
     either gathered zero-copy from the directory's column store or packed
-    from per-peer objects via :meth:`from_objects`.
+    from per-peer objects via :meth:`from_objects` — and caches every
+    row's popcount of ``row AND NOT reference``.
     """
 
     def __init__(
@@ -175,6 +163,7 @@ class _BloomColumn:
             reference.num_bits, reference.num_hashes
         )
         self._reference_row = pack_bit_row(reference.raw_bits, self._m)
+        self._popcounts = batch_difference_popcounts(rows, self._reference_row)
 
     @classmethod
     def from_objects(
@@ -203,29 +192,30 @@ class _BloomColumn:
             pack_bit_rows(bits, reference.num_bits), cards, active, reference
         )
 
-    def batch(self) -> np.ndarray:
-        popcounts = batch_difference_popcounts(self._rows, self._reference_row)
-        novelty = np.minimum(np.maximum(0.0, self._table[popcounts]), self._cards)
+    def refresh_reference(self, reference: Any) -> np.ndarray:
+        new_row = pack_bit_row(reference.raw_bits, self._m)
+        # A row's difference popcount can only move where it has a bit
+        # the reference flipped.  Absorbs only union bits in, so the
+        # flipped bits are exactly the added ones.
+        flipped = new_row ^ self._reference_row
+        affected = (self._rows & flipped).any(axis=1) & self._active
+        if affected.any():
+            self._popcounts[affected] = batch_difference_popcounts(
+                self._rows[affected], new_row
+            )
+        self._reference_row = new_row
+        return affected
+
+    def rescore(self, reference_cardinality: float) -> np.ndarray:
+        novelty = np.minimum(
+            np.maximum(0.0, self._table[self._popcounts]), self._cards
+        )
         novelty[~self._active] = 0.0
         return novelty
 
-    def eval_one(self, index: int) -> float:
-        if not self._active[index]:
-            return 0.0
-        popcount = int(
-            batch_difference_popcounts(
-                self._rows[index : index + 1], self._reference_row
-            )[0]
-        )
-        estimate = float(self._table[popcount])
-        return min(max(0.0, estimate), float(self._cards[index]))
-
-    def refresh_reference(self, reference: Any) -> None:
-        self._reference_row = pack_bit_row(reference.raw_bits, self._m)
-
 
 class _MipsColumn:
-    """Minima-matrix MIPs novelty kernel (incremental tier)."""
+    """Minima-matrix MIPs novelty kernel."""
 
     def __init__(
         self,
@@ -318,7 +308,7 @@ class _MipsColumn:
 
 
 class _HashSketchColumn:
-    """First-zero-position hash-sketch kernel (incremental tier)."""
+    """First-zero-position hash-sketch kernel."""
 
     def __init__(
         self,
@@ -416,7 +406,7 @@ class _HashSketchColumn:
 
 
 class _LogLogColumn:
-    """Merged-register LogLog kernel (incremental tier)."""
+    """Merged-register LogLog kernel."""
 
     def __init__(
         self,
@@ -496,8 +486,6 @@ class _LogLogColumn:
         novelty[~self._active] = 0.0
         return novelty
 
-
-_CELF_COLUMNS = (_BloomColumn,)
 
 _COLUMN_TYPES = {
     BloomFilter: _BloomColumn,
@@ -624,8 +612,8 @@ class _PerTermAdapter:
 # below reproduces the object adapters bit-for-bit — the gathered
 # matrices equal what from_objects would have packed (absent/inactive
 # rows are the family's neutral payload), the cardinality clamps run the
-# same float operations in the same association, and the shared drivers
-# then see identical inputs.
+# same float operations in the same association, and the shared driver
+# then sees identical inputs.
 
 
 def _store_params(reference: Any) -> tuple[Any, tuple[int, ...]]:
@@ -927,7 +915,7 @@ class _ColumnPerTermAdapter:
 class _LazyCandidates(Sequence[CandidatePeer]):
     """Candidate views materialized only when a driver touches one.
 
-    The drivers need a :class:`CandidatePeer` only for *selected* peers
+    The driver needs a :class:`CandidatePeer` only for *selected* peers
     (the absorb step) — building all C up front would reinstate the
     per-peer assembly cost the columnar view exists to avoid.
     """
@@ -1007,17 +995,12 @@ def column_rank_detailed(
         adapter = _ColumnPerPeerAdapter(aggregation, context, view)
     else:
         adapter = _ColumnPerTermAdapter(aggregation, context, view)
-    celf = isinstance(adapter.columns[0], _CELF_COLUMNS)
     stats = RoutingStats(
-        mode="celf" if celf else "incremental",
-        candidates=view.count,
-        attach="columns",
+        mode="incremental", candidates=view.count, attach="columns"
     )
-    candidates = _LazyCandidates(view)
-    driver = _run_celf if celf else _run_incremental
-    plan = driver(
+    plan = _run_incremental(
         adapter,
-        candidates,
+        _LazyCandidates(view),
         qualities_array,
         view.peer_names,
         stopping,
@@ -1027,131 +1010,7 @@ def column_rank_detailed(
     return plan, stats
 
 
-# -- drivers -----------------------------------------------------------------
-
-
-class _ReversedStr:
-    """Inverts string ordering so a *min*-heap pops the *largest* peer id.
-
-    The naive loop breaks full ties by the largest peer id (the third
-    tuple component under strict ``>``); negating the float components
-    and reversing the string component makes heap order match exactly.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: str) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_ReversedStr") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReversedStr) and self.value == other.value
-
-
-def _eval_one(columns: Sequence[Any], index: int) -> float:
-    total = 0.0
-    for column in columns:
-        total += column.eval_one(index)
-    return total
-
-
-def _run_celf(
-    adapter: Any,
-    candidates: Sequence[CandidatePeer],
-    qualities_array: np.ndarray,
-    peer_ids: list[str],
-    stopping: StoppingCriterion,
-    max_peers: int,
-    stats: RoutingStats,
-) -> list[tuple[str, float, float]]:
-    columns = adapter.columns
-    novelty = columns[0].batch()
-    for column in columns[1:]:
-        novelty = novelty + column.batch()
-    count = len(candidates)
-    stats.novelty_evaluations += count
-    round_no = 0
-    heap = [
-        (
-            -(qualities_array[i] * novelty[i]),
-            -qualities_array[i],
-            _ReversedStr(peer_ids[i]),
-            i,
-            round_no,
-            float(novelty[i]),
-        )
-        for i in range(count)
-    ]
-    heapq.heapify(heap)
-    plan: list[tuple[str, float, float]] = []
-    while heap and len(plan) < max_peers:
-        stats.rounds += 1
-        stats.naive_evaluations += len(heap)
-        while True:
-            entry = heap[0]
-            if entry[4] == round_no:
-                break
-            heapq.heappop(heap)
-            index = entry[3]
-            value = _eval_one(columns, index)
-            stats.novelty_evaluations += 1
-            if value > entry[5]:
-                # Monotonicity bound violated — provably impossible for
-                # Bloom, but correctness must not rest on the proof:
-                # refresh every stale entry and re-heapify.
-                stats.bound_refreshes += 1
-                fresh = [(index, value)]
-                while heap:
-                    stale = heapq.heappop(heap)
-                    other = stale[3]
-                    fresh_value = (
-                        _eval_one(columns, other)
-                        if stale[4] != round_no
-                        else stale[5]
-                    )
-                    if stale[4] != round_no:
-                        stats.novelty_evaluations += 1
-                    fresh.append((other, fresh_value))
-                for other, fresh_value in fresh:
-                    heapq.heappush(
-                        heap,
-                        (
-                            -(qualities_array[other] * fresh_value),
-                            -qualities_array[other],
-                            _ReversedStr(peer_ids[other]),
-                            other,
-                            round_no,
-                            fresh_value,
-                        ),
-                    )
-                continue
-            heapq.heappush(
-                heap,
-                (
-                    -(qualities_array[index] * value),
-                    -qualities_array[index],
-                    _ReversedStr(peer_ids[index]),
-                    index,
-                    round_no,
-                    value,
-                ),
-            )
-        _, _, _, best, _, best_novelty = heapq.heappop(heap)
-        plan.append((peer_ids[best], float(qualities_array[best]), best_novelty))
-        adapter.absorb(candidates[best])
-        stats.novelty_evaluations += 1  # absorb's internal gain recompute
-        for column, reference in zip(adapter.columns, adapter.references()):
-            column.refresh_reference(reference)
-        round_no += 1
-        if stopping.should_stop(
-            selected_count=len(plan),
-            estimated_coverage=adapter.coverage(),
-            last_novelty=best_novelty,
-        ):
-            break
-    return plan
+# -- driver ------------------------------------------------------------------
 
 
 def _total_novelty(
@@ -1191,12 +1050,19 @@ def _run_incremental(
     columns = adapter.columns
     count = len(candidates)
     alive = np.ones(count, dtype=bool)
-    novelty = _total_novelty(columns, adapter.reference_cardinalities())
     stats.novelty_evaluations += count
     plan: list[tuple[str, float, float]] = []
     while len(plan) < max_peers and alive.any():
         stats.rounds += 1
         stats.naive_evaluations += int(alive.sum())
+        if plan:
+            # Catch the kernels up with the previous round's absorb —
+            # here rather than after it, so the last round pays nothing.
+            touched = np.zeros(count, dtype=bool)
+            for column, reference in zip(columns, adapter.references()):
+                touched |= column.refresh_reference(reference)
+            stats.novelty_evaluations += int((touched & alive).sum())
+        novelty = _total_novelty(columns, adapter.reference_cardinalities())
         scores = qualities_array * novelty
         best = _argmax_with_ties(scores, qualities_array, peer_ids, alive)
         best_novelty = float(novelty[best])
@@ -1204,12 +1070,6 @@ def _run_incremental(
         alive[best] = False
         adapter.absorb(candidates[best])
         stats.novelty_evaluations += 1  # absorb's internal gain recompute
-        touched = np.zeros(count, dtype=bool)
-        for column, reference in zip(columns, adapter.references()):
-            touched |= column.refresh_reference(reference)
-        touched &= alive
-        stats.novelty_evaluations += int(touched.sum())
-        novelty = _total_novelty(columns, adapter.reference_cardinalities())
         if stopping.should_stop(
             selected_count=len(plan),
             estimated_coverage=adapter.coverage(),
@@ -1249,16 +1109,12 @@ def fast_rank_detailed(
         raise FastPathUnsupported(
             f"no fast path for aggregation strategy {aggregation_type.__name__}"
         )
-    celf = isinstance(adapter.columns[0], _CELF_COLUMNS)
-    stats = RoutingStats(
-        mode="celf" if celf else "incremental", candidates=len(candidates)
-    )
+    stats = RoutingStats(mode="incremental", candidates=len(candidates))
     peer_ids = [candidate.peer_id for candidate in candidates]
     qualities_array = np.array(
         [qualities[peer_id] for peer_id in peer_ids], dtype=np.float64
     )
-    driver = _run_celf if celf else _run_incremental
-    plan = driver(
+    plan = _run_incremental(
         adapter, candidates, qualities_array, peer_ids, stopping, max_peers, stats
     )
     return plan, stats

@@ -66,11 +66,12 @@ class IQNRouter(PeerSelector):
     alpha:
         CORI's default-belief parameter for the quality component.
     fast_path:
-        Use the vectorized + lazy-greedy Select-Best-Peer implementation
-        (:mod:`repro.core.fastpath`) when the configuration supports it,
-        falling back to the naive loop otherwise.  Plans are bit-identical
-        either way; disable only to benchmark or debug against the naive
-        reference implementation.
+        Use the vectorized Select-Best-Peer driver
+        (:mod:`repro.core.fastpath`: cached per-candidate statistics,
+        exact invalidation of the rows each absorb touches) when the
+        configuration supports it, falling back to the naive loop
+        otherwise.  Plans are bit-identical either way; disable only to
+        benchmark or debug against the naive reference implementation.
 
     After every :meth:`rank_detailed` call, :attr:`last_stats` holds a
     :class:`~repro.core.fastpath.RoutingStats` describing the work done

@@ -45,16 +45,19 @@ def execute_query(
         raise ValueError(f"k must be positive, got {k}")
     if not terms:
         return []
+    # Distinct terms in query order: float addition is not associative,
+    # so a hash-ordered set would tie score bits to PYTHONHASHSEED.
+    unique_terms = dict.fromkeys(terms)
     accumulated: dict[int, float] = {}
     matched_terms: dict[int, int] = {}
-    for term in set(terms):
+    for term in unique_terms:
         for posting in index.index_list(term):
             accumulated[posting.doc_id] = (
                 accumulated.get(posting.doc_id, 0.0) + posting.score
             )
             matched_terms[posting.doc_id] = matched_terms.get(posting.doc_id, 0) + 1
     if conjunctive:
-        required = len(set(terms))
+        required = len(unique_terms)
         accumulated = {
             doc_id: score
             for doc_id, score in accumulated.items()

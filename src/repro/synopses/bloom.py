@@ -25,6 +25,7 @@ keeps the object immutable and hashable.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
@@ -77,21 +78,25 @@ def cardinality_from_popcount(bit_count: int, num_bits: int, num_hashes: int) ->
     return math.log1p(-t / m) / (num_hashes * math.log1p(-1.0 / m))
 
 
+@functools.lru_cache(maxsize=None)
 def popcount_cardinality_table(num_bits: int, num_hashes: int) -> np.ndarray:
     """Cardinality estimates for every possible popcount ``0 .. m``.
 
     Indexing this table with an integer popcount array vectorizes the
     inversion without touching transcendental functions in NumPy (whose
     libm may differ from :mod:`math` by ULPs — the table keeps batched
-    and scalar paths exactly equal).
+    and scalar paths exactly equal).  Memoized per ``(m, k)`` and shared
+    by every caller, so the table is read-only.
     """
-    return np.array(
+    table = np.array(
         [
             cardinality_from_popcount(t, num_bits, num_hashes)
             for t in range(num_bits + 1)
         ],
         dtype=np.float64,
     )
+    table.flags.writeable = False
+    return table
 
 
 def pack_bit_row(bits: int, num_bits: int) -> np.ndarray:

@@ -28,6 +28,7 @@ Aggregation properties (Sections 5.2, 5.3, 6.1):
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,15 +66,21 @@ def cardinality_from_rho_sum(rho_sum: int, num_bitmaps: int) -> float:
     return (num_bitmaps / PCSA_PHI) * (2.0**mean_r)
 
 
+@functools.lru_cache(maxsize=None)
 def rho_sum_cardinality_table(num_bitmaps: int, bitmap_length: int) -> np.ndarray:
-    """Estimates for every possible ``ΣR`` in ``0 .. m * L``."""
-    return np.array(
+    """Estimates for every possible ``ΣR`` in ``0 .. m * L``.
+
+    Memoized per ``(m, L)`` and shared by every caller, so read-only.
+    """
+    table = np.array(
         [
             cardinality_from_rho_sum(total, num_bitmaps)
             for total in range(num_bitmaps * bitmap_length + 1)
         ],
         dtype=np.float64,
     )
+    table.flags.writeable = False
+    return table
 
 
 def pack_bitmap_row(synopsis: "HashSketch") -> np.ndarray:

@@ -24,6 +24,7 @@ intersection is unsupported.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -75,6 +76,7 @@ def cardinality_from_register_stats(
     return LOGLOG_ALPHA * num_buckets * (2.0**mean_register)
 
 
+@functools.lru_cache(maxsize=None)
 def register_cardinality_tables(num_buckets: int) -> tuple[np.ndarray, np.ndarray]:
     """``(linear_counting, extrapolation)`` lookup tables for batching.
 
@@ -82,7 +84,8 @@ def register_cardinality_tables(num_buckets: int) -> tuple[np.ndarray, np.ndarra
     registers (``e = 0`` is a placeholder — that branch never fires for
     it); ``extrapolation[s]`` the ``2^mean`` estimate for register sum
     ``s``.  Tabulating the scalar function keeps vectorized selection
-    bit-identical to per-object estimation.
+    bit-identical to per-object estimation.  Memoized per ``m`` and
+    shared by every caller, so both tables are read-only.
     """
     linear = np.array(
         [np.inf]
@@ -99,6 +102,8 @@ def register_cardinality_tables(num_buckets: int) -> tuple[np.ndarray, np.ndarra
         ],
         dtype=np.float64,
     )
+    linear.flags.writeable = False
+    extrapolation.flags.writeable = False
     return linear, extrapolation
 
 

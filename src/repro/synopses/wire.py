@@ -159,6 +159,10 @@ def loads(data: bytes) -> "SetSynopsis | ScoreHistogramSynopsis":
         num_bitmaps, offset = _read_uvarint(data, offset)
         bitmap_length, offset = _read_uvarint(data, offset)
         zz_seed, offset = _read_uvarint(data, offset)
+        if bitmap_length == 0:
+            # Zero-byte bitmaps would let a tiny header declare any
+            # number of them and loop without consuming input.
+            raise WireFormatError("hash-sketch bitmap_length must be positive")
         bitmap_bytes = (bitmap_length + 7) // 8
         bitmaps = []
         for _ in range(num_bitmaps):

@@ -128,6 +128,13 @@ class SuperPeerTopology(RoutingTopology):
         self._cluster_table = PeerIdTable()
         self._cluster_lists: dict[str, PeerList] = {}
         self._down: set[str] = set()
+        self._live: dict[str, tuple[str, ...]] = {}
+        #: Per interned peer id: its cluster's index while the peer is
+        #: live, ``-1`` once down (or never clustered).
+        self._live_cluster = np.zeros(0, dtype=np.int64)
+        #: Per interned peer id: position in its cluster's member tuple.
+        self._member_rank = np.zeros(0, dtype=np.int64)
+        self._cluster_index: dict[str, int] = {}
 
     # -- configuration ---------------------------------------------------
 
@@ -170,6 +177,10 @@ class SuperPeerTopology(RoutingTopology):
         self._cluster_table = PeerIdTable()
         self._cluster_lists = {}
         self._down = set()
+        self._live = {}
+        self._live_cluster = np.zeros(0, dtype=np.int64)
+        self._member_rank = np.zeros(0, dtype=np.int64)
+        self._cluster_index = {}
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:
@@ -199,11 +210,21 @@ class SuperPeerTopology(RoutingTopology):
         return self._members.get(label, ())
 
     def live_members(self, label: str) -> tuple[str, ...]:
-        return tuple(
-            peer_id
-            for peer_id in self.members_of(label)
-            if peer_id not in self._down
+        self.ensure_clusters()
+        return self._live.get(label, ())
+
+    def _set_liveness(self, peer_id: str, label: str, live: bool) -> None:
+        """Record ``peer_id`` going down or up and refresh the caches."""
+        if live:
+            self._down.discard(peer_id)
+        else:
+            self._down.add(peer_id)
+        self._live[label] = tuple(
+            member for member in self._members[label] if member not in self._down
         )
+        interned = self.host.directory.peer_table.lookup(peer_id)
+        assert interned is not None  # every clustered peer is interned
+        self._live_cluster[interned] = self._cluster_index[label] if live else -1
 
     def _stored_columns(self) -> list[tuple[str, TermColumns]]:
         directory = self.host.directory
@@ -245,9 +266,9 @@ class SuperPeerTopology(RoutingTopology):
         )
         width = max(3, len(str(max(1, len(present) - 1))))
         labels = [f"c{index:0{width}d}" for index in range(len(present))]
-        members_by: dict[int, list[str]] = {i: [] for i in range(len(present))}
+        members_by: dict[int, list[int]] = {i: [] for i in range(len(present))}
         for interned, compact in enumerate(compact_assignment.tolist()):
-            members_by[compact].append(table.name(interned))
+            members_by[compact].append(interned)
         self._capacity = {
             table.name(interned): int(capacity[interned])
             for interned in range(len(table))
@@ -256,8 +277,11 @@ class SuperPeerTopology(RoutingTopology):
         self._cluster_of = {}
         self._super_of = {}
         self._members = {}
+        self._member_rank = np.zeros(len(table), dtype=np.int64)
         for index, label in enumerate(labels):
-            members = tuple(sorted(members_by[index]))
+            member_ids = sorted(members_by[index], key=table.name)
+            self._member_rank[member_ids] = np.arange(len(member_ids))
+            members = tuple(table.name(interned) for interned in member_ids)
             super_peer = elect_super_peer(
                 members, lambda peer_id: self._capacity.get(peer_id, 0)
             )
@@ -270,6 +294,9 @@ class SuperPeerTopology(RoutingTopology):
                 self._cluster_of[peer_id] = label
         self._clusters = tuple(clusters)
         self._down = set()
+        self._live = dict(self._members)
+        self._live_cluster = compact_assignment
+        self._cluster_index = {label: index for index, label in enumerate(labels)}
         self._build_cluster_lists(term_columns, compact_assignment, labels)
 
     def _build_cluster_lists(
@@ -347,18 +374,12 @@ class SuperPeerTopology(RoutingTopology):
         the packed group-fold is for the full build, this is the churn
         repair path.  Returns the touched terms, sorted.
         """
-        directory = self.host.directory
-        live = self.live_members(label)
+        posts_by_term, _ = self.member_posts(
+            label, tuple(sorted(self._cluster_lists))
+        )
         touched: list[str] = []
-        for term in sorted(self._cluster_lists):
+        for term, posts in posts_by_term.items():
             peer_list = self._cluster_lists[term]
-            stored = directory.stored_list(term)
-            posts = []
-            if stored is not None:
-                for member in live:
-                    post = stored.get(member)
-                    if post is not None:
-                        posts.append(post)
             had = peer_list.get(label) is not None
             if not posts:
                 if had:
@@ -431,20 +452,38 @@ class SuperPeerTopology(RoutingTopology):
     def member_posts(
         self, label: str, terms: tuple[str, ...]
     ) -> tuple[dict[str, list[Post]], int]:
-        """One winning cluster's restricted per-term posts + wire bits."""
+        """One cluster's live members' per-term posts + wire bits.
+
+        Scans each term's stored posters — usually far fewer than the
+        cluster's members — and keeps the cluster's live ones, in member
+        order.
+        """
+        self.ensure_clusters()
         directory = self.host.directory
-        live = self.live_members(label)
+        table = directory.peer_table
+        index = self._cluster_index.get(label)
+        if index is None:
+            return {term: [] for term in dict.fromkeys(terms)}, 0
+        if len(self._live_cluster) < len(table):
+            # Peers interned after the build belong to no cluster.
+            padding = np.full(
+                len(table) - len(self._live_cluster), -1, dtype=np.int64
+            )
+            self._live_cluster = np.concatenate([self._live_cluster, padding])
         out: dict[str, list[Post]] = {}
         bits = 0
         for term in dict.fromkeys(terms):
             stored = directory.stored_list(term)
             posts: list[Post] = []
             if stored is not None:
-                for member in live:
-                    post = stored.get(member)
-                    if post is not None:
-                        posts.append(post)
-                        bits += post.size_in_bits
+                ids = stored.columns.interned_ids()
+                ids = ids[self._live_cluster[ids] == index]
+                ids = ids[np.argsort(self._member_rank[ids], kind="stable")]
+                for interned in ids.tolist():
+                    post = stored.get(table.name(interned))
+                    assert post is not None  # a stored poster
+                    posts.append(post)
+                    bits += post.size_in_bits
             out[term] = posts
         return out, bits
 
@@ -500,7 +539,7 @@ class SuperPeerTopology(RoutingTopology):
         label = self._cluster_of.get(peer_id)
         if label is None or peer_id in self._down:
             return None
-        self._down.add(peer_id)
+        self._set_liveness(peer_id, label, live=False)
         terms = self._rebuild_cluster_entry(label)
         if self._super_of.get(label) != peer_id:
             return None
@@ -530,10 +569,9 @@ class SuperPeerTopology(RoutingTopology):
     def handle_peer_up(self, peer_id: str) -> None:
         if self._clusters is None or peer_id not in self._down:
             return
-        self._down.discard(peer_id)
-        label = self._cluster_of.get(peer_id)
-        if label is not None:
-            self._rebuild_cluster_entry(label)
+        label = self._cluster_of[peer_id]  # only clustered peers go down
+        self._set_liveness(peer_id, label, live=True)
+        self._rebuild_cluster_entry(label)
 
     # -- simnet latency --------------------------------------------------
 

@@ -6,9 +6,11 @@ the benchmarks run the paper-scale configurations.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.datasets.corpus import GovCorpusConfig, build_gov_corpus
 from repro.datasets.partition import (
@@ -19,6 +21,15 @@ from repro.datasets.partition import (
 from repro.datasets.queries import make_workload
 from repro.minerva.engine import MinervaEngine
 from repro.synopses.factory import SynopsisSpec
+
+# Property tests draw the same examples on every run, so the suite passes
+# or fails reproducibly.  HYPOTHESIS_PROFILE=explore restores randomized
+# generation (plus the example database) for bug-hunting.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None
+)
+settings.register_profile("explore", deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 
 @pytest.fixture

@@ -1,29 +1,42 @@
-"""Tests for the vectorized + lazy-greedy routing fast path.
+"""Tests for the vectorized routing fast path.
 
 The contract is strict: for every supported configuration the fast path
 must produce plans *bit-identical* to the naive Select-Best-Peer loop —
 same peers in the same order with equal quality and novelty floats —
-while performing strictly fewer novelty evaluations.  Unsupported
+while never performing more novelty evaluations than the naive loop
+(plus the one absorb-time recompute per round).  Unsupported
 configurations must fall back to the naive loop transparently.
 """
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import PerPeerAggregation, PerTermAggregation
 from repro.core.correlations import CorrelationAwarePerTerm
-from repro.core.fastpath import FastPathUnsupported, RoutingStats, fast_rank_detailed
+from repro.core.fastpath import (
+    FastPathUnsupported,
+    RoutingStats,
+    _BloomColumn,
+    fast_rank_detailed,
+)
 from repro.core.histogram_routing import HistogramAggregation
 from repro.core.iqn import IQNRouter
 from repro.core.stopping import AnyOf, CoverageTarget, MaxPeers, MinimumNoveltyGain
 from repro.datasets.queries import Query
 from repro.minerva.posts import PeerList, Post
 from repro.routing.base import LocalView, RoutingContext
+from repro.synopses.bloom import BloomFilter, cardinality_from_popcount
+from repro.synopses.columnstore import PeerIdTable
 from repro.synopses.factory import SynopsisSpec
 
 SPEC_LABELS = ("mips-32", "bf-1024", "hs-16", "ll-64")
 AGGREGATIONS = (PerPeerAggregation, PerTermAggregation)
+AGGREGATION_IDS = ("peer", "term")
+ATTACH_IDS = ("obj", "col")
 TERMS = ("apple", "pear")
 
 
@@ -35,17 +48,22 @@ def make_context(
     num_peers=30,
     universe=2500,
     terms=TERMS,
+    shared_table=False,
 ):
     """A synthetic directory snapshot with clustered, overlapping peers.
 
     Peers draw most documents from a per-peer hot region plus a uniform
     tail, so collections overlap heavily — the regime where the
     reference-synopsis discount actually reorders the plan and any
-    divergence between the two implementations would surface.
+    divergence between the two implementations would surface.  With
+    ``shared_table`` the lists share one interned peer table, so the
+    fast path attaches to the packed columns; otherwise it packs the
+    per-peer synopsis objects.
     """
     rng = random.Random(seed)
     spec = SynopsisSpec.parse(spec_label)
-    peer_lists = {term: PeerList(term=term) for term in terms}
+    table = PeerIdTable() if shared_table else None
+    peer_lists = {term: PeerList(term=term, peer_table=table) for term in terms}
     for i in range(num_peers):
         peer_id = f"p{i:03d}"
         base = rng.randrange(0, universe)
@@ -117,7 +135,7 @@ class TestPlanEquivalence:
             dict(aggregation=aggregation_cls()),
         )
         assert plan_rows(plan_fast) == plan_rows(plan_naive)
-        assert fast_stats.mode in ("celf", "incremental")
+        assert fast_stats.mode == "incremental"
 
     @pytest.mark.parametrize("spec_label", SPEC_LABELS)
     def test_novelty_only_ranking(self, spec_label):
@@ -256,7 +274,7 @@ class TestFallback:
 class TestRoutingStats:
     def test_modes_by_family(self):
         for spec_label, expected in [
-            ("bf-1024", "celf"),
+            ("bf-1024", "incremental"),
             ("mips-32", "incremental"),
             ("hs-16", "incremental"),
             ("ll-64", "incremental"),
@@ -277,32 +295,33 @@ class TestRoutingStats:
         assert router.last_stats.mode == "empty"
         assert router.last_stats.candidates == 0
 
-    def test_bloom_bounds_never_violated(self):
-        # Bloom novelty is provably monotone; the defensive full-refresh
-        # branch must never fire.
-        router = IQNRouter()
-        router.rank(make_context(9, spec_label="bf-1024", num_peers=60), 20)
-        stats = router.last_stats
-        assert stats.mode == "celf"
-        assert stats.bound_refreshes == 0
-
-    def test_celf_saves_evaluations(self):
-        naive = IQNRouter(fast_path=False)
-        fast = IQNRouter()
-        args = dict(seed=10, spec_label="bf-1024", num_peers=80, universe=8000)
+    @pytest.mark.parametrize("shared_table", (False, True), ids=ATTACH_IDS)
+    @pytest.mark.parametrize("aggregation_cls", AGGREGATIONS, ids=AGGREGATION_IDS)
+    @pytest.mark.parametrize("spec_label", SPEC_LABELS)
+    def test_evals_within_naive_plus_rounds(
+        self, spec_label, aggregation_cls, shared_table
+    ):
+        # The driver scores every candidate once, then re-evaluates only
+        # rows the last absorb touched, plus one absorb-time recompute
+        # per round: never more than the naive loop's work + rounds.
+        args = dict(
+            seed=10,
+            spec_label=spec_label,
+            num_peers=80,
+            universe=8000,
+            shared_table=shared_table,
+        )
+        naive = IQNRouter(aggregation_cls(), fast_path=False)
+        fast = IQNRouter(aggregation_cls())
         naive.rank(make_context(**args), 25)
         fast.rank(make_context(**args), 25)
-        assert fast.last_stats.mode == "celf"
-        assert (
-            fast.last_stats.novelty_evaluations
-            < naive.last_stats.novelty_evaluations
-        )
+        stats = fast.last_stats
+        assert stats.mode == "incremental"
+        assert stats.attach == ("columns" if shared_table else "objects")
+        assert stats.rounds == naive.last_stats.rounds
         # Both report the same hypothetical naive workload.
-        assert (
-            fast.last_stats.naive_evaluations
-            == naive.last_stats.naive_evaluations
-        )
-        assert fast.last_stats.evaluation_savings > 1.0
+        assert stats.naive_evaluations == naive.last_stats.naive_evaluations
+        assert stats.novelty_evaluations <= stats.naive_evaluations + stats.rounds
 
     def test_incremental_counts_touched_rows(self):
         naive = IQNRouter(fast_path=False)
@@ -329,3 +348,71 @@ class TestRoutingStats:
 
     def test_savings_defined_without_evaluations(self):
         assert RoutingStats(mode="empty").evaluation_savings == 1.0
+
+
+class TestBloomTier:
+    """Bloom runs on the shared exact-invalidation driver."""
+
+    @pytest.mark.parametrize("shared_table", (False, True), ids=ATTACH_IDS)
+    @pytest.mark.parametrize("aggregation_cls", AGGREGATIONS, ids=AGGREGATION_IDS)
+    @pytest.mark.parametrize("conjunctive", (False, True), ids=["disj", "conj"])
+    @pytest.mark.parametrize("seed", (11, 12))
+    def test_plans_bit_identical_to_naive(
+        self, seed, conjunctive, aggregation_cls, shared_table
+    ):
+        args = dict(
+            seed=seed,
+            spec_label="bf-1024",
+            conjunctive=conjunctive,
+            num_peers=60,
+            terms=("apple", "pear", "plum"),
+            shared_table=shared_table,
+        )
+        naive = IQNRouter(aggregation_cls(), fast_path=False)
+        fast = IQNRouter(aggregation_cls())
+        plan_naive = naive.rank_detailed(make_context(**args), 20)
+        plan_fast = fast.rank_detailed(make_context(**args), 20)
+        assert plan_rows(plan_fast) == plan_rows(plan_naive)
+        assert fast.last_stats.mode == "incremental"
+        assert fast.last_stats.attach == ("columns" if shared_table else "objects")
+
+    id_sets = st.sets(st.integers(min_value=0, max_value=3_000), max_size=120)
+
+    @given(
+        st.lists(st.tuples(id_sets, st.booleans()), min_size=1, max_size=12),
+        id_sets,
+        st.lists(id_sets, min_size=1, max_size=6),
+    )
+    @settings(max_examples=60)
+    def test_refresh_mask_is_exactly_the_changed_rows(
+        self, candidates, seed_ids, absorbed
+    ):
+        def build(ids):
+            return BloomFilter.from_ids(ids, num_bits=256, num_hashes=3)
+
+        synopses = [build(ids) for ids, _ in candidates]
+        active = np.array([ok for _, ok in candidates], dtype=bool)
+        cards = [float(len(ids)) for ids, _ in candidates]
+        reference = build(seed_ids)
+        column = _BloomColumn.from_objects(synopses, cards, active, reference)
+
+        def popcounts(ref):
+            return [(s.raw_bits & ~ref.raw_bits).bit_count() for s in synopses]
+
+        for ids in absorbed:
+            before = popcounts(reference)
+            reference = reference.union(build(ids))
+            after = popcounts(reference)
+            mask = column.refresh_reference(reference)
+            expected = [
+                bool(ok) and old != new
+                for ok, old, new in zip(active, before, after)
+            ]
+            assert mask.tolist() == expected
+            novelty = column.rescore(0.0)
+            for index, (ok, count) in enumerate(zip(active, after)):
+                scalar = min(
+                    max(0.0, cardinality_from_popcount(count, 256, 3)),
+                    cards[index],
+                )
+                assert novelty[index] == (scalar if ok else 0.0)

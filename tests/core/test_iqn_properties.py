@@ -173,9 +173,11 @@ class TestFastPathEquivalence:
 
 
 class TestNoveltyMonotonicity:
-    """The lazy-greedy (CELF) tier is sound only because stale novelty
-    scores stay upper bounds.  That holds for exact sets trivially and
-    for Bloom estimates provably; both facts are pinned here."""
+    """Novelty can only shrink as the reference grows: trivially for
+    exact sets, and provably for Bloom estimates (absorbing ORs bits in,
+    so ``cand AND NOT ref`` loses bits and the linear-counting inversion
+    is increasing in the popcount).  A synopsis property worth pinning
+    on its own; the routing driver does not rely on it."""
 
     absorb_sequences = st.lists(
         st.sets(st.integers(min_value=0, max_value=2_000), max_size=150),

@@ -83,3 +83,52 @@ class TestEdges:
     def test_result_type(self, index):
         results = execute_query(index, ("fire",), k=1)
         assert isinstance(results[0], ScoredDocument)
+
+
+class TestHashSeedIndependence:
+    SCRIPT = """
+import random
+from repro.ir.documents import Corpus, Document
+from repro.ir.index import InvertedIndex
+from repro.ir.topk import execute_query
+
+rng = random.Random(7)
+vocabulary = [f"t{i}" for i in range(12)]
+corpus = Corpus.from_documents(
+    [
+        Document.from_terms(
+            doc_id, [rng.choice(vocabulary) for _ in range(rng.randrange(5, 40))]
+        )
+        for doc_id in range(300)
+    ]
+)
+index = InvertedIndex(corpus)
+for conjunctive in (False, True):
+    terms = tuple(vocabulary[:6]) if not conjunctive else tuple(vocabulary[:2])
+    for entry in execute_query(index, terms, k=50, conjunctive=conjunctive):
+        print(entry.score.hex(), entry.doc_id)
+"""
+
+    def run(self, hash_seed):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+
+    def test_scores_and_order_independent_of_hash_seed(self):
+        # Per-term scores are summed in query-term order, so score bits
+        # and tie order cannot depend on string hashing.
+        outputs = {self.run(seed) for seed in (0, 1, 2, 3)}
+        assert len(outputs) == 1
+        assert next(iter(outputs)).count("\n") > 50

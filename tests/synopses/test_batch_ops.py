@@ -196,3 +196,26 @@ class TestLogLogKernels:
         rows = pack_register_rows([None, synopsis], self.M)
         assert (rows[0] == 0).all()
         assert rows.dtype == np.uint8
+
+
+class TestMemoizedTables:
+    """Cardinality tables are built once per parameter set and shared by
+    every caller, so a stray write must fail instead of corrupting every
+    later estimate."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: [popcount_cardinality_table(512, 3)],
+            lambda: [rho_sum_cardinality_table(16, 32)],
+            lambda: list(register_cardinality_tables(32)),
+        ],
+        ids=["bloom", "hash-sketch", "loglog"],
+    )
+    def test_tables_are_shared_and_read_only(self, build):
+        first, second = build(), build()
+        for table, again in zip(first, second):
+            assert table is again
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[1] = 0.0

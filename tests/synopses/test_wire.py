@@ -91,6 +91,13 @@ class TestMalformedInput:
         with pytest.raises(WireFormatError, match="out of range"):
             loads(bytes(data))
 
+    def test_zero_length_sketch_bitmaps_rejected_without_looping(self):
+        # Header: kind 0x02, num_bitmaps = 2**62 (uvarint), bitmap_length
+        # = 0, seed = 0.  Must fail fast, not build 2**62 empty bitmaps.
+        header = b"\x02" + b"\x80" * 8 + b"\x40" + b"\x00\x00"
+        with pytest.raises(WireFormatError, match="bitmap_length"):
+            loads(header)
+
     def test_unsupported_type_rejected_on_dumps(self):
         with pytest.raises(WireFormatError, match="no wire format"):
             dumps(object())  # type: ignore[arg-type]

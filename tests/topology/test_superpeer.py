@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.iqn import IQNRouter
 from repro.datasets.queries import Query
+from repro.ir.documents import Corpus, Document
 from repro.net.cost import MessageKinds
 from repro.net.latency import LatencyProfile
 from repro.topology import SuperPeerTopology
@@ -206,6 +207,61 @@ class TestChurnHooks:
         topology.handle_peer_down(victim)
         topology.handle_peer_up(victim)
         assert victim in topology.live_members(label)
+
+    def test_member_posts_match_a_probe_of_live_members(self):
+        # member_posts scans each term's posters; it must return exactly
+        # what probing every live member in member order returns, before
+        # and after members go down and come back.
+        engine = make_superpeer_engine()
+        terms = tuple(sorted(engine.directory.stored_terms())) + ("unknown",)
+        for term in terms[:-1]:
+            # Re-posting the first poster swap-moves the last one into its
+            # row, so stored order no longer follows member order.
+            stored = engine.directory.stored_list(term)
+            first = next(iter(stored.posts))
+            post = stored.get(first)
+            del stored.posts[first]
+            stored.add(post, retain=False)
+        topology = engine.topology
+        topology.ensure_clusters()
+
+        def probed(label):
+            out, bits = {}, 0
+            for term in terms:
+                stored = engine.directory.stored_list(term)
+                posts = []
+                for member in topology.live_members(label):
+                    post = None if stored is None else stored.get(member)
+                    if post is not None:
+                        posts.append(post)
+                        bits += post.size_in_bits
+                out[term] = posts
+            return out, bits
+
+        def check():
+            for cluster in topology.clusters:
+                assert topology.member_posts(cluster.label, terms) == probed(
+                    cluster.label
+                )
+
+        check()
+        downed = [cluster.members[0] for cluster in topology.clusters]
+        downed.append(topology.clusters[0].members[-1])
+        for peer_id in downed:
+            topology.handle_peer_down(peer_id)
+            check()
+        for peer_id in downed:
+            topology.handle_peer_up(peer_id)
+            check()
+        # A peer that joins after the build posts but belongs to no cluster.
+        late = Corpus.from_documents([Document.from_terms(999, ["apple", "banana"])])
+        engine.add_peer("late", late)
+        assert engine.directory.stored_list("apple").get("late") is not None
+        check()
+        assert topology.member_posts("no-such-cluster", terms) == (
+            {term: [] for term in terms},
+            0,
+        )
 
 
 class TestLatencyProfiles:
