@@ -1031,11 +1031,14 @@ def _argmax_with_ties(
     masked = np.where(alive, scores, -np.inf)
     top = masked.max()
     tied = np.nonzero(alive & (masked == top))[0]
+    if tied.size > 1:
+        # Highest quality first, then the largest peer id: the order of
+        # the (quality, peer id) key, with only quality ties in Python.
+        tied_qualities = qualities_array[tied]
+        tied = tied[tied_qualities == tied_qualities.max()]
     if tied.size == 1:
         return int(tied[0])
-    return max(
-        tied.tolist(), key=lambda i: (qualities_array[i], peer_ids[i])
-    )
+    return max(tied.tolist(), key=peer_ids.__getitem__)
 
 
 def _run_incremental(

@@ -46,30 +46,63 @@ class LookupResult:
 
 
 class ChordRing:
-    """A complete, consistent Chord ring over a set of nodes."""
+    """A complete, consistent Chord ring over a set of nodes.
+
+    A node's id is ``chord_id(name, salt="node")``; when that id is
+    already taken the name is re-hashed with ``salt="node#1"``,
+    ``"node#2"``, ... until a free id turns up, so colliding names still
+    join deterministically (in join order).  The ring records which id
+    each name got (:meth:`node_id_of`).
+    """
 
     def __init__(self, node_names: Iterable[str | int], *, bits: int = DEFAULT_ID_BITS):
         self.bits = bits
+        names = list(node_names)
+        if len(names) > 1 << bits:
+            raise ValueError(
+                f"{len(names)} nodes do not fit a ring of 2**{bits} ids"
+            )
         self._nodes: dict[int, ChordNode] = {}
         self._sorted_ids: list[int] = []
-        for name in node_names:
-            self._insert(chord_id(name, bits=bits, salt="node"))
+        self._id_of: dict[str | int, int] = {}
+        self._name_of: dict[int, str | int] = {}
+        for name in names:
+            self._insert(name)
         if not self._nodes:
             raise ValueError("a Chord ring needs at least one node")
         self._rebuild_pointers()
 
     # -- membership --------------------------------------------------------
 
-    def _insert(self, node_id: int) -> None:
-        if node_id in self._nodes:
-            raise ValueError(f"node id collision at {node_id}")
+    def _insert(self, name: str | int) -> int:
+        if name in self._id_of:
+            raise ValueError(f"node {name!r} is already on the ring")
+        if len(self._nodes) >= 1 << self.bits:
+            raise ValueError(f"the ring's 2**{self.bits} ids are all taken")
+        node_id = chord_id(name, bits=self.bits, salt="node")
+        attempt = 0
+        while node_id in self._nodes:
+            attempt += 1
+            node_id = chord_id(name, bits=self.bits, salt=f"node#{attempt}")
         self._nodes[node_id] = ChordNode(node_id=node_id, bits=self.bits)
         bisect.insort(self._sorted_ids, node_id)
+        self._id_of[name] = node_id
+        self._name_of[node_id] = name
+        return node_id
+
+    def _forget(self, node_id: int) -> ChordNode:
+        departing = self._nodes.pop(node_id)
+        self._sorted_ids.remove(node_id)
+        del self._id_of[self._name_of.pop(node_id)]
+        return departing
+
+    def node_id_of(self, name: str | int) -> int:
+        """The id ``name`` holds on the ring (``KeyError`` if absent)."""
+        return self._id_of[name]
 
     def add_node(self, name: str | int) -> ChordNode:
         """Join a node, migrating the keys it now owns."""
-        node_id = chord_id(name, bits=self.bits, salt="node")
-        self._insert(node_id)
+        node_id = self._insert(name)
         self._rebuild_pointers()
         # The new node takes over keys between its predecessor and itself
         # from its successor.
@@ -90,8 +123,7 @@ class ChordRing:
             raise KeyError(f"no node with id {node_id}")
         if len(self._nodes) == 1:
             raise ValueError("cannot remove the last node of the ring")
-        departing = self._nodes.pop(node_id)
-        self._sorted_ids.remove(node_id)
+        departing = self._forget(node_id)
         self._rebuild_pointers()
         heir = self._nodes[self.successor_of(node_id)]
         heir.store.update(departing.store)
@@ -110,8 +142,7 @@ class ChordRing:
             raise KeyError(f"no node with id {node_id}")
         if len(self._nodes) == 1:
             raise ValueError("cannot crash the last node of the ring")
-        departing = self._nodes.pop(node_id)
-        self._sorted_ids.remove(node_id)
+        departing = self._forget(node_id)
         self._rebuild_pointers()
         return len(departing.store)
 

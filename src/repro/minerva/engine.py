@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..datasets.queries import Query
-from ..dht.hashing import DEFAULT_ID_BITS, chord_id
+from ..dht.hashing import DEFAULT_ID_BITS
 from ..dht.ring import ChordRing
 from ..ir.documents import Corpus, Document
 from ..ir.index import InvertedIndex
@@ -133,8 +133,7 @@ class MinervaEngine:
             )
         self.ring = ChordRing(self.peers.keys(), bits=ring_bits)
         node_of_peer = {
-            peer_id: chord_id(peer_id, bits=ring_bits, salt="node")
-            for peer_id in self.peers
+            peer_id: self.ring.node_id_of(peer_id) for peer_id in self.peers
         }
         self.directory = Directory(
             self.ring,

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from ..synopses.base import SetSynopsis
 from ..synopses.columnstore import PeerIdTable, TermColumns
@@ -135,6 +137,28 @@ class PeerList:
         if posts:
             for post in posts.values():
                 self.add(post)
+
+    @classmethod
+    def from_rows(
+        cls,
+        term: str,
+        table: PeerIdTable,
+        parts: Sequence[tuple["PeerList", np.ndarray]],
+    ) -> "PeerList":
+        """The given rows of other lists, concatenated in order.
+
+        Each part is ``(source, rows)``; the rows are copied column to
+        column (:meth:`TermColumns.from_rows`), so no Post is rebuilt or
+        re-packed.  The result retains no caller objects.
+        """
+        peer_list = cls.__new__(cls)
+        peer_list.term = term
+        peer_list._columns = TermColumns.from_rows(
+            term, table, [(source.columns, rows) for source, rows in parts]
+        )
+        peer_list._retained = {}
+        peer_list._cache = {}
+        return peer_list
 
     # -- columnar surface -------------------------------------------------
 

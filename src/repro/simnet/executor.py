@@ -260,7 +260,7 @@ class SimNetExecutor:
         return handler
 
     def _serve_members(self, peer_id: str) -> RpcHandler:
-        """Handler: a winning cluster's super-peer shipping member posts."""
+        """Handler: a winning cluster's super-peer shipping member slices."""
 
         def handler(
             payload: tuple[str, tuple[str, ...]]
@@ -270,8 +270,8 @@ class SimNetExecutor:
                 return None  # departed since construction: no reply
             topology = self.engine.topology
             assert isinstance(topology, SuperPeerTopology)
-            posts_by_term, bits = topology.member_posts(label, tuple(terms))
-            return posts_by_term, bits, self.directory_service_ms
+            lists_by_term, bits = topology.member_posts(label, tuple(terms))
+            return lists_by_term, bits, self.directory_service_ms
 
         return handler
 
@@ -675,7 +675,7 @@ class SimNetExecutor:
         The initiator asks its own super-peer for the per-term cluster
         directory (one ``cluster_fetch`` RPC — a direct link, no DHT
         hops), ranks clusters locally, then pulls each winning cluster's
-        member posts from that cluster's super-peer (one ``member_fetch``
+        member slices from that cluster's super-peer (one ``member_fetch``
         RPC per winner).  An unreachable super-peer degrades to the full
         flat fetch (counted as a topology fallback); a winning cluster
         whose member fetch never answers is skipped (also counted).
@@ -738,13 +738,10 @@ class SimNetExecutor:
                 for label in winners
             ]
         )
-        peer_lists = {
-            term: PeerList(term=term, peer_table=engine.directory.peer_table)
-            for term in unique_terms
-        }
         super_fetches = 1
         topology_fallbacks = 0
-        for label, member_reply in zip(winners, member_replies):
+        replies: list[dict[str, PeerList]] = []
+        for member_reply in member_replies:
             directory_attempts += member_reply.attempts
             if not member_reply.ok:
                 cost.record(
@@ -753,22 +750,15 @@ class SimNetExecutor:
                 topology_fallbacks += 1
                 continue
             super_fetches += 1
-            posts_by_term: dict[str, list] = member_reply.value
-            member_bits = sum(
-                post.size_in_bits
-                for posts in posts_by_term.values()
-                for post in posts
-            )
+            lists_by_term: dict[str, PeerList] = member_reply.value
             cost.record(
                 MessageKinds.MEMBER_FETCH,
-                bits=member_bits,
+                bits=sum(pl.size_in_bits for pl in lists_by_term.values()),
                 count=member_reply.attempts,
             )
-            for term, posts in posts_by_term.items():
-                for post in posts:
-                    peer_lists[term].add(post, retain=False)
+            replies.append(lists_by_term)
         return (
-            peer_lists,
+            topology.merge_member_lists(unique_terms, replies),
             [],
             directory_attempts,
             0,

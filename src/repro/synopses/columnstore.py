@@ -25,7 +25,7 @@ layer whether the packed matrix covers every stored synopsis.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -577,6 +577,71 @@ class TermColumns:
     def _invalidate(self) -> None:
         self._order_cache = None
         self._inverse_cache = None
+
+    @classmethod
+    def from_rows(
+        cls,
+        term: str,
+        table: PeerIdTable,
+        parts: Sequence[tuple["TermColumns", np.ndarray]],
+    ) -> "TermColumns":
+        """A fresh store of the given rows of other stores, in order.
+
+        Each part is ``(source, rows)``: ``source``'s rows ``rows`` are
+        copied — metadata, packed synopsis rows, foreign synopses and
+        histograms — into consecutive rows of the result, part after
+        part, with no per-row packing.  The result holds the same posts
+        as upserting them one by one in that order, keys its rows on
+        ``table`` (the sources' table) and keeps the sources' column
+        family; rows foreign in their source stay foreign.  Every part
+        whose source holds a packed column must match the first such
+        column's family and parameters (``ValueError`` otherwise); a
+        peer may appear once only.
+        """
+        store = cls(term, table)
+        total = sum(len(rows) for _, rows in parts)
+        store._grow(total)
+        column: SynopsisColumn | None = None
+        for source, _ in parts:
+            packed = source._column
+            if packed is None:
+                continue
+            if column is None:
+                column = packed.fresh(len(store._peer_ids))
+            elif type(packed) is not type(column) or packed.params != column.params:
+                raise ValueError(
+                    f"cannot concatenate {type(packed).__name__}{packed.params}"
+                    f" rows onto {type(column).__name__}{column.params} rows"
+                )
+        store._column = column
+        start = 0
+        for source, rows in parts:
+            stop = start + len(rows)
+            interned = source._peer_ids[rows]
+            store._peer_ids[start:stop] = interned
+            store._cdf[start:stop] = source._cdf[rows]
+            store._max_score[start:stop] = source._max_score[rows]
+            store._avg_score[start:stop] = source._avg_score[rows]
+            store._term_space[start:stop] = source._term_space[rows]
+            store._has_synopsis[start:stop] = source._has_synopsis[rows]
+            if column is not None and source._column is not None:
+                column._matrix[start:stop] = source._column._matrix[rows]
+            ids = interned.tolist()
+            store._row_of.update(zip(ids, range(start, stop)))
+            foreign, histograms = source._foreign, source._histograms
+            if foreign:
+                store._foreign.update(
+                    (peer, foreign[peer]) for peer in ids if peer in foreign
+                )
+            if histograms:
+                store._histograms.update(
+                    (peer, histograms[peer]) for peer in ids if peer in histograms
+                )
+            start = stop
+        if len(store._row_of) != total:
+            raise ValueError(f"a peer appears twice among the rows of {term!r}")
+        store._size = total
+        return store
 
     # -- views -----------------------------------------------------------
 

@@ -76,13 +76,13 @@ class TopologyHost(Protocol):
 class ScopedLists:
     """The candidate PeerLists one query sees, plus scoping diagnostics.
 
-    ``scope`` is ``None`` for an unrestricted (flat) assembly; for a
-    hierarchical assembly it holds exactly the peer ids routing may
-    select from (the winning clusters' members).
+    ``scope_size`` is ``None`` for an unrestricted (flat) assembly; for
+    a hierarchical assembly it counts the peers routing may select from
+    (the winning clusters' live members).
     """
 
     peer_lists: dict[str, PeerList]
-    scope: frozenset[str] | None = None
+    scope_size: int | None = None
     clusters_ranked: tuple[str, ...] = ()
     #: Messages answered by super-peers for this assembly: one cluster
     #: directory fetch plus one member fetch per winning cluster.
@@ -200,7 +200,7 @@ class RoutingTopology(ABC):
             selected=tuple(ranked),
             routing_stats=getattr(selector, "last_stats", None),
             clusters_ranked=scoped.clusters_ranked,
-            scope_size=None if scoped.scope is None else len(scoped.scope),
+            scope_size=scoped.scope_size,
             super_fetches=scoped.super_fetches,
         )
 

@@ -16,10 +16,10 @@ Query assembly is two-phase IQN under a split budget:
    cluster directory of the query terms (one ``cluster_fetch`` message)
    and runs IQN over the merged cluster synopses, selecting at most the
    cluster budget (default ``isqrt(max_peers)``).
-2. **Rank members** — each winning cluster's super-peer ships its
-   members' restricted PeerList entries back (one ``member_fetch`` per
-   winner), and the query's selector ranks only those peers under the
-   full peer budget.
+2. **Rank members** — each winning cluster's super-peer ships its live
+   members' PeerList rows back as column slices (one ``member_fetch``
+   per winner), the slices are concatenated in winner order, and the
+   query's selector ranks only those peers under the full peer budget.
 
 Against the flat topology — which pays per-term DHT routing hops plus
 the *complete* PeerList payload of every term — the super-peer tier
@@ -374,11 +374,12 @@ class SuperPeerTopology(RoutingTopology):
         the packed group-fold is for the full build, this is the churn
         repair path.  Returns the touched terms, sorted.
         """
-        posts_by_term, _ = self.member_posts(
+        lists_by_term, _ = self.member_posts(
             label, tuple(sorted(self._cluster_lists))
         )
         touched: list[str] = []
-        for term, posts in posts_by_term.items():
+        for term, members in lists_by_term.items():
+            posts = list(members)
             peer_list = self._cluster_lists[term]
             had = peer_list.get(label) is not None
             if not posts:
@@ -450,42 +451,82 @@ class SuperPeerTopology(RoutingTopology):
         return self.cluster_selector.rank(context, budget)
 
     def member_posts(
-        self, label: str, terms: tuple[str, ...]
-    ) -> tuple[dict[str, list[Post]], int]:
-        """One cluster's live members' per-term posts + wire bits.
+        self,
+        label: str,
+        terms: tuple[str, ...],
+        *,
+        stored: dict[str, PeerList | None] | None = None,
+    ) -> tuple[dict[str, PeerList], int]:
+        """One cluster's live members' per-term PeerList slices + wire bits.
 
         Scans each term's stored posters — usually far fewer than the
-        cluster's members — and keeps the cluster's live ones, in member
-        order.
+        cluster's members — keeps the cluster's live ones, in member
+        order, and gathers their rows straight from the stored columns
+        (:meth:`PeerList.from_rows`): what the super-peer ships is a
+        column slice, never re-packed Posts.  The bits are the slices'
+        ``size_in_bits``, the same integers as the per-post wire sizes.
+        ``stored`` supplies the terms' stored lists when the caller has
+        already looked them up (``assemble`` does, once per query).
         """
         self.ensure_clusters()
         directory = self.host.directory
         table = directory.peer_table
+        unique_terms = tuple(dict.fromkeys(terms))
         index = self._cluster_index.get(label)
         if index is None:
-            return {term: [] for term in dict.fromkeys(terms)}, 0
+            return {
+                term: PeerList(term=term, peer_table=table) for term in unique_terms
+            }, 0
+        if stored is None:
+            stored = self._stored_lists(unique_terms)
         if len(self._live_cluster) < len(table):
             # Peers interned after the build belong to no cluster.
             padding = np.full(
                 len(table) - len(self._live_cluster), -1, dtype=np.int64
             )
             self._live_cluster = np.concatenate([self._live_cluster, padding])
-        out: dict[str, list[Post]] = {}
+        out: dict[str, PeerList] = {}
         bits = 0
-        for term in dict.fromkeys(terms):
-            stored = directory.stored_list(term)
-            posts: list[Post] = []
-            if stored is not None:
-                ids = stored.columns.interned_ids()
-                ids = ids[self._live_cluster[ids] == index]
-                ids = ids[np.argsort(self._member_rank[ids], kind="stable")]
-                for interned in ids.tolist():
-                    post = stored.get(table.name(interned))
-                    assert post is not None  # a stored poster
-                    posts.append(post)
-                    bits += post.size_in_bits
-            out[term] = posts
+        for term in unique_terms:
+            source = stored[term]
+            if source is None:
+                out[term] = PeerList(term=term, peer_table=table)
+                continue
+            ids = source.columns.interned_ids()
+            rows = np.flatnonzero(self._live_cluster[ids] == index)
+            rows = rows[np.argsort(self._member_rank[ids[rows]], kind="stable")]
+            scoped = PeerList.from_rows(term, table, [(source, rows)])
+            out[term] = scoped
+            bits += scoped.size_in_bits
         return out, bits
+
+    def _stored_lists(
+        self, terms: tuple[str, ...]
+    ) -> dict[str, PeerList | None]:
+        """Each term's stored directory list (``None`` = nobody posted)."""
+        directory = self.host.directory
+        return {term: directory.stored_list(term) for term in dict.fromkeys(terms)}
+
+    def merge_member_lists(
+        self, terms: tuple[str, ...], replies: list[dict[str, PeerList]]
+    ) -> dict[str, PeerList]:
+        """Concatenate the winners' member slices into the scoped lists.
+
+        Winner order, then member order within each winner — one column
+        gather per term.
+        """
+        table = self.host.directory.peer_table
+        return {
+            term: PeerList.from_rows(
+                term,
+                table,
+                [
+                    (lists[term], np.arange(len(lists[term]), dtype=np.int64))
+                    for lists in replies
+                ],
+            )
+            for term in dict.fromkeys(terms)
+        }
 
     def assemble(
         self,
@@ -512,21 +553,17 @@ class SuperPeerTopology(RoutingTopology):
         _, cluster_bits = self.cluster_peer_lists(query.terms)
         directory.cost.record(MessageKinds.CLUSTER_FETCH, bits=cluster_bits)
         unique_terms = tuple(dict.fromkeys(query.terms))
-        peer_lists = {
-            term: PeerList(term=term, peer_table=directory.peer_table)
-            for term in unique_terms
-        }
-        scope: set[str] = set()
+        stored = self._stored_lists(unique_terms)
+        replies: list[dict[str, PeerList]] = []
         for label in winners:
-            posts_by_term, member_bits = self.member_posts(label, unique_terms)
+            lists, member_bits = self.member_posts(
+                label, unique_terms, stored=stored
+            )
             directory.cost.record(MessageKinds.MEMBER_FETCH, bits=member_bits)
-            scope.update(self.live_members(label))
-            for term, posts in posts_by_term.items():
-                for post in posts:
-                    peer_lists[term].add(post, retain=False)
+            replies.append(lists)
         return ScopedLists(
-            peer_lists=peer_lists,
-            scope=frozenset(scope),
+            peer_lists=self.merge_member_lists(unique_terms, replies),
+            scope_size=sum(len(self.live_members(label)) for label in winners),
             clusters_ranked=tuple(winners),
             super_fetches=1 + len(winners),
         )

@@ -20,6 +20,7 @@ from repro.core.correlations import CorrelationAwarePerTerm
 from repro.core.fastpath import (
     FastPathUnsupported,
     RoutingStats,
+    _argmax_with_ties,
     _BloomColumn,
     fast_rank_detailed,
 )
@@ -416,3 +417,44 @@ class TestBloomTier:
                     cards[index],
                 )
                 assert novelty[index] == (scalar if ok else 0.0)
+
+
+class TestTieBreak:
+    """The vectorized tie-break picks what the (quality, peer id) key did."""
+
+    @staticmethod
+    def key_rule(scores, qualities, peer_ids, alive):
+        masked = np.where(alive, scores, -np.inf)
+        tied = np.nonzero(alive & (masked == masked.max()))[0]
+        return max(tied.tolist(), key=lambda i: (qualities[i], peer_ids[i]))
+
+    # Few distinct values (with both signed zeros) force score and
+    # quality ties; repeated names exercise the first-maximum rule.
+    rows = st.lists(
+        st.tuples(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+            st.sampled_from([0.0, -0.0, 0.25, 1.0]),
+            st.sampled_from(["p0", "p1", "p2", "q", "q0"]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+
+    @given(rows)
+    @settings(max_examples=300)
+    def test_matches_the_quality_then_peer_id_key(self, rows):
+        alive = np.array([row[3] for row in rows], dtype=bool)
+        alive[0] = True
+        scores = np.array([row[0] for row in rows], dtype=np.float64)
+        qualities = np.array([row[1] for row in rows], dtype=np.float64)
+        peer_ids = [row[2] for row in rows]
+        assert _argmax_with_ties(scores, qualities, peer_ids, alive) == (
+            self.key_rule(scores, qualities, peer_ids, alive)
+        )
+
+    def test_signed_zeros_tie(self):
+        scores = np.zeros(3, dtype=np.float64)
+        qualities = np.array([0.0, -0.0, 0.0], dtype=np.float64)
+        alive = np.ones(3, dtype=bool)
+        assert _argmax_with_ties(scores, qualities, ["b", "c", "a"], alive) == 1

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.dht.hashing import chord_id
 from repro.dht.ring import ChordRing
 
 
@@ -142,3 +143,76 @@ class TestChurn:
         for i in range(50):
             key = f"term-{i}"
             assert ring.lookup(key).owner == ring.owner_of(key).node_id
+
+
+class TestNodeIdCollisions:
+    # At the default 32 bits these two names hash to the same node id.
+    PAIR = ("peer-88174", "peer-92512")
+
+    def test_pair_really_collides(self):
+        first, second = self.PAIR
+        assert chord_id(first, salt="node") == chord_id(second, salt="node")
+
+    def test_later_name_is_resalted_deterministically(self):
+        first, second = self.PAIR
+        ring = ChordRing(self.PAIR)
+        assert ring.node_id_of(first) == chord_id(first, salt="node")
+        assert ring.node_id_of(second) == chord_id(second, salt="node#1")
+        assert len(ring) == 2
+        assert ChordRing(self.PAIR).node_ids == ring.node_ids
+
+    def test_pair_joins_leaves_and_looks_up_consistently(self):
+        first, second = self.PAIR
+        ring = ChordRing([first, "other"])
+        keys = [f"key-{i}" for i in range(40)]
+        for key in keys:
+            ring.put(key, key)
+        joined = ring.add_node(second)
+        assert joined.node_id == ring.node_id_of(second)
+        assert joined.node_id != ring.node_id_of(first)
+        for start in ring.node_ids:
+            for key in keys:
+                assert ring.lookup(key, start_node=start).owner == (
+                    ring.owner_of(key).node_id
+                )
+        for key in keys:
+            assert ring.get(key) == key
+        ring.remove_node(ring.node_id_of(first))
+        with pytest.raises(KeyError):
+            ring.node_id_of(first)
+        for key in keys:
+            assert ring.get(key) == key
+        # Rejoining takes the plain id again: it is free now.
+        ring.add_node(first)
+        assert ring.node_id_of(first) == chord_id(first, salt="node")
+        for key in keys:
+            assert ring.get(key) == key
+
+    def test_crash_forgets_the_name(self):
+        ring = ChordRing(self.PAIR)
+        second = ring.node_id_of(self.PAIR[1])
+        ring.crash_node(second)
+        with pytest.raises(KeyError):
+            ring.node_id_of(self.PAIR[1])
+        assert ring.add_node(self.PAIR[1]).node_id == second
+
+    def test_small_ring_with_forced_collisions_fills_up(self):
+        names = [f"n{i}" for i in range(16)]
+        plain = {chord_id(name, bits=4, salt="node") for name in names}
+        assert len(plain) < len(names)  # collisions are forced
+        ring = ChordRing(names, bits=4)
+        assert ring.node_ids == list(range(16))
+        assert sorted(ring.node_id_of(name) for name in names) == list(range(16))
+        with pytest.raises(ValueError, match="all taken"):
+            ring.add_node("one-too-many")
+
+    def test_more_names_than_ids_rejected_up_front(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            ChordRing([f"n{i}" for i in range(17)], bits=4)
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="already on the ring"):
+            ChordRing(["a", "b", "a"], bits=16)
+        ring = ChordRing(["a"], bits=16)
+        with pytest.raises(ValueError, match="already on the ring"):
+            ring.add_node("a")

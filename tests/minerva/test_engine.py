@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.iqn import IQNRouter
 from repro.datasets.queries import Query
+from repro.dht.hashing import chord_id
 from repro.ir.documents import Corpus, Document
 from repro.minerva.engine import MinervaEngine
 from repro.net.cost import MessageKinds
@@ -50,6 +51,20 @@ class TestConstruction:
 
     def test_ring_covers_peers(self, engine):
         assert len(engine.ring) == 3
+
+
+    def test_node_ids_come_from_the_ring(self):
+        # Twenty peers collide nowhere, so every node keeps the plain
+        # ``chord_id`` the ring has always given it.
+        docs = [Document.from_terms(i, ["apple"]) for i in range(20)]
+        engine = MinervaEngine(
+            [Corpus.from_documents([doc]) for doc in docs], spec=SPEC
+        )
+        assert len(engine.peers) == 20
+        for peer_id in engine.peers:
+            expected = chord_id(peer_id, salt="node")
+            assert engine.directory._node_of_peer[peer_id] == expected
+            assert engine.ring.node_id_of(peer_id) == expected
 
 
 class TestPublish:

@@ -32,6 +32,7 @@ from repro.synopses.columnstore import (
 )
 from repro.synopses.factory import SynopsisSpec
 from repro.synopses.hashsketch import HashSketch
+from repro.synopses.histogram import ScoreHistogramSynopsis
 from repro.synopses.loglog import LogLogCounter
 from repro.synopses.mips import MinWisePermutations
 
@@ -242,6 +243,163 @@ class TestTermColumns:
         assert len(clone) == 1
         assert clone.synopsis_at(0) == synopsis
         assert clone.post_fields(0)[:2] == ("p1", 7)
+
+
+#: Per family: the same family at other parameters, which the column
+#: built for ``FAMILIES`` cannot hold (the row goes foreign).
+OTHER_PARAMS = {
+    "bloom": lambda ids: BloomFilter.from_ids(ids, num_bits=256, num_hashes=2),
+    "mips": lambda ids: MinWisePermutations.from_ids(ids, num_permutations=16),
+    "hash-sketch": lambda ids: HashSketch.from_ids(
+        ids, num_bitmaps=8, bitmap_length=32
+    ),
+    "loglog": lambda ids: LogLogCounter.from_ids(ids, num_buckets=16),
+}
+
+HISTOGRAM_SPEC = SynopsisSpec.parse("mips-8")
+
+#: One posting: synopsis kind, doc ids, with a histogram, cdf, scores.
+postings = st.tuples(
+    st.sampled_from(["packed", "packed", "foreign", "none"]),
+    st.sets(st.integers(min_value=0, max_value=500), min_size=1, max_size=30),
+    st.booleans(),
+    st.integers(min_value=0, max_value=1000),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+
+
+def make_post(peer, term, family, posting):
+    kind, ids, with_histogram, cdf, score = posting
+    synopsis = None
+    if kind == "packed":
+        synopsis = FAMILIES[family](ids)
+    elif kind == "foreign":
+        synopsis = OTHER_PARAMS[family](ids)
+    histogram = None
+    if with_histogram:
+        histogram = ScoreHistogramSynopsis.from_scored_ids(
+            [(doc, (doc % 10) / 10) for doc in ids], spec=HISTOGRAM_SPEC
+        )
+    return Post(
+        peer_id=peer,
+        term=term,
+        cdf=cdf,
+        max_score=score,
+        avg_score=score / 2,
+        term_space_size=len(ids),
+        synopsis=synopsis,
+        histogram=histogram,
+    )
+
+
+class TestFromRows:
+    """Gathering stored rows equals upserting the same posts in order."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(
+        first=st.lists(postings, min_size=1, max_size=10),
+        second=st.lists(postings, max_size=10),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_upserted_list(self, family, first, second, data):
+        table = PeerIdTable()
+        sources = []
+        for prefix, entries in (("a", first), ("b", second)):
+            source = PeerList(term="t", peer_table=table)
+            # Both sources hold the family's column, as a stored list does:
+            # the first synopsis a list stores fixes its column.
+            entries = [("packed", *entry[1:]) for entry in entries[:1]] + entries[1:]
+            for index, posting in enumerate(entries):
+                source.add(
+                    make_post(f"{prefix}{index}", "t", family, posting),
+                    retain=False,
+                )
+            sources.append(source)
+        a, b = sources
+        order_a = data.draw(st.permutations(range(len(a))))
+        order_b = data.draw(st.permutations(range(len(b))))
+        cut = data.draw(st.integers(min_value=0, max_value=len(order_a)))
+        taken_b = data.draw(st.integers(min_value=0, max_value=len(order_b)))
+        chosen = [
+            (a, order_a[:cut]),
+            (b, order_b[:taken_b]),
+            (a, order_a[cut:][: data.draw(st.integers(0, len(a) - cut))]),
+        ]
+        parts = [(src, np.array(rows, dtype=np.int64)) for src, rows in chosen]
+        gathered = PeerList.from_rows("t", table, parts)
+
+        posts = [src._post_at(row) for src, rows in chosen for row in rows]
+        upserted = PeerList(term="t", peer_table=table)
+        for post in posts:
+            upserted.add(post, retain=False)
+
+        assert list(gathered) == posts == list(upserted)
+        assert gathered.size_in_bits == upserted.size_in_bits
+        assert gathered.size_in_bits == sum(post.size_in_bits for post in posts)
+        columns = gathered.columns
+        assert columns.table is table
+        for src, rows in chosen:
+            for row in rows:
+                peer = src.columns.interned_ids()[row]
+                assert (peer in columns._foreign) == (peer in src.columns._foreign)
+        if a.columns.synopsis_column is not None:
+            column = columns.synopsis_column
+            assert type(column) is type(a.columns.synopsis_column)
+            assert column.params == a.columns.synopsis_column.params
+            spare = column._matrix[len(gathered):]
+            assert (spare == column.neutral).all()
+        clone = pickle.loads(pickle.dumps(gathered))
+        assert list(clone) == posts
+        assert clone.size_in_bits == gathered.size_in_bits
+
+    def test_empty_parts_give_an_empty_list(self):
+        table = PeerIdTable()
+        gathered = PeerList.from_rows("t", table, [])
+        assert len(gathered) == 0 and gathered.size_in_bits == 0
+        assert gathered.columns.table is table
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_mismatched_columns_raise(self, family):
+        table = PeerIdTable()
+        a = PeerList(term="t", peer_table=table)
+        b = PeerList(term="t", peer_table=table)
+        a.add(make_post("a0", "t", family, ("packed", {1}, False, 1, 1.0)))
+        b.add(make_post("b0", "t", family, ("foreign", {2}, False, 1, 1.0)))
+        whole = np.arange(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="cannot concatenate"):
+            PeerList.from_rows("t", table, [(a, whole), (b, whole)])
+
+    def test_a_source_without_column_adds_neutral_rows(self):
+        table = PeerIdTable()
+        a = PeerList(term="t", peer_table=table)
+        b = PeerList(term="t", peer_table=table)
+        a.add(make_post("a0", "t", "bloom", ("none", {1}, False, 1, 1.0)))
+        b.add(make_post("b0", "t", "bloom", ("packed", {2}, True, 1, 1.0)))
+        assert a.columns.synopsis_column is None
+        whole = np.arange(1, dtype=np.int64)
+        gathered = PeerList.from_rows("t", table, [(a, whole), (b, whole)])
+        assert list(gathered) == [a.get("a0"), b.get("b0")]
+        assert gathered.columns.synopsis_flags().tolist() == [False, True]
+        assert gathered.columns.is_pure
+
+    def test_mixed_families_raise(self):
+        table = PeerIdTable()
+        a = PeerList(term="t", peer_table=table)
+        b = PeerList(term="t", peer_table=table)
+        a.add(make_post("a0", "t", "bloom", ("packed", {1}, False, 1, 1.0)))
+        b.add(make_post("b0", "t", "mips", ("packed", {2}, False, 1, 1.0)))
+        whole = np.arange(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="cannot concatenate"):
+            PeerList.from_rows("t", table, [(a, whole), (b, whole)])
+
+    def test_a_peer_may_appear_once(self):
+        table = PeerIdTable()
+        a = PeerList(term="t", peer_table=table)
+        a.add(make_post("a0", "t", "bloom", ("packed", {1}, False, 1, 1.0)))
+        twice = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="appears twice"):
+            PeerList.from_rows("t", table, [(a, twice)])
 
 
 def seeded_lists(spec, *, peers=50, terms=("alpha", "beta", "gamma"), seed=42):

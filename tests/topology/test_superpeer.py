@@ -10,7 +10,8 @@ from repro.ir.documents import Corpus, Document
 from repro.net.cost import MessageKinds
 from repro.net.latency import LatencyProfile
 from repro.topology import SuperPeerTopology
-from repro.topology.base import ReElection
+from repro.minerva.posts import PeerList
+from repro.topology.base import ReElection, ScopedLists
 
 from .conftest import make_topical_engine
 
@@ -240,9 +241,11 @@ class TestChurnHooks:
 
         def check():
             for cluster in topology.clusters:
-                assert topology.member_posts(cluster.label, terms) == probed(
-                    cluster.label
-                )
+                lists, bits = topology.member_posts(cluster.label, terms)
+                # PeerList equality ignores row order; compare ordered posts.
+                ordered = {term: list(lists[term]) for term in lists}
+                assert (ordered, bits) == probed(cluster.label)
+                assert bits == sum(pl.size_in_bits for pl in lists.values())
 
         check()
         downed = [cluster.members[0] for cluster in topology.clusters]
@@ -258,10 +261,109 @@ class TestChurnHooks:
         engine.add_peer("late", late)
         assert engine.directory.stored_list("apple").get("late") is not None
         check()
-        assert topology.member_posts("no-such-cluster", terms) == (
-            {term: [] for term in terms},
-            0,
+        lists, bits = topology.member_posts("no-such-cluster", terms)
+        assert {term: list(pl) for term, pl in lists.items()} == {
+            term: [] for term in terms
+        }
+        assert bits == 0
+
+
+def oracle_scoped_lists(engine, topology, winners, terms):
+    """Phase two post by post: each winner's live members in member
+    order, every Post materialized and re-added — the assembly the
+    column gather replaces."""
+    table = engine.directory.peer_table
+    lists = {term: PeerList(term=term, peer_table=table) for term in terms}
+    fetch_bits = []
+    for label in winners:
+        bits = 0
+        for term in terms:
+            stored = engine.directory.stored_list(term)
+            for member in topology.live_members(label):
+                post = None if stored is None else stored.get(member)
+                if post is not None:
+                    lists[term].add(post, retain=False)
+                    bits += post.size_in_bits
+        fetch_bits.append(bits)
+    return lists, fetch_bits
+
+
+class TestAssembleEquivalence:
+    @pytest.mark.parametrize("spec_label", ["mips-16", "bf-512", "hs-32", "ll-128"])
+    def test_gathered_assembly_matches_post_by_post_oracle(self, spec_label):
+        engine = make_topical_engine(
+            spec_label,
+            peers_per_topic=4,
+            topology=SuperPeerTopology(
+                num_clusters=3, seed=0, cluster_budget=2
+            ),
         )
+        topology = engine.topology
+        topology.ensure_clusters()
+        queries = [
+            Query(0, ("apple", "banana")),
+            Query(1, ("cherry", "citrus", "apple")),
+            Query(2, ("berry", "unknown")),
+        ]
+
+        def check():
+            for query in queries:
+                terms = tuple(dict.fromkeys(query.terms))
+                before = engine.cost.snapshot()
+                scoped = topology.assemble(query, max_peers=4)
+                spent = engine.cost.snapshot() - before
+                winners = scoped.clusters_ranked
+                lists, fetch_bits = oracle_scoped_lists(
+                    engine, topology, winners, terms
+                )
+                assert list(scoped.peer_lists) == list(terms)
+                for term in terms:
+                    assert list(scoped.peer_lists[term]) == list(lists[term])
+                    assert (
+                        scoped.peer_lists[term].size_in_bits
+                        == lists[term].size_in_bits
+                    )
+                _, cluster_bits = topology.cluster_peer_lists(terms)
+                assert spent.bits(MessageKinds.MEMBER_FETCH) == sum(fetch_bits)
+                assert spent.messages(MessageKinds.MEMBER_FETCH) == len(winners)
+                assert spent.bits(MessageKinds.CLUSTER_FETCH) == cluster_bits
+                assert scoped.scope_size == sum(
+                    len(topology.live_members(label)) for label in winners
+                )
+                context = topology.context_for(query, scoped)
+                oracle_context = topology.context_for(
+                    query, ScopedLists(peer_lists=lists)
+                )
+                assert IQNRouter().rank(context, 4) == IQNRouter(
+                    fast_path=False
+                ).rank(oracle_context, 4)
+
+        check()
+        downed = [cluster.members[-1] for cluster in topology.clusters]
+        downed.append(topology.clusters[0].super_peer)
+        for peer_id in downed:
+            topology.handle_peer_down(peer_id)
+            check()
+        for peer_id in downed:
+            topology.handle_peer_up(peer_id)
+            check()
+
+    def test_networked_assembly_matches_passive_after_churn(self):
+        engine = make_superpeer_engine()
+        topology = engine.topology
+        topology.ensure_clusters()
+        for cluster in topology.clusters:
+            topology.handle_peer_down(cluster.members[-1])
+        passive = engine.run_query(
+            QUERY, IQNRouter(), initiator_id=INITIATOR, max_peers=3
+        )
+        networked = engine.run_query_networked(
+            QUERY, IQNRouter(), initiator_id=INITIATOR, max_peers=3
+        )
+        assert networked.outcome.selected == passive.selected
+        assert networked.clusters_ranked == passive.clusters_ranked
+        for kind in (MessageKinds.CLUSTER_FETCH, MessageKinds.MEMBER_FETCH):
+            assert networked.outcome.cost.bits(kind) == passive.cost.bits(kind)
 
 
 class TestLatencyProfiles:
