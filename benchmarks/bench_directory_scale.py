@@ -2,8 +2,10 @@
 
 Not a paper figure: this quantifies the columnar synopsis store
 (:mod:`repro.synopses.columnstore`) end to end.  For each synopsis
-family and directory size it ingests one Post per peer per term through
-``Directory.publish_batch`` (packing is an ingest-time cost), measures
+family and directory size it builds one post per peer per term as a
+columnar ``PostBatch`` — every synopsis from one batched build
+(``SynopsisSpec.build_rows``), already packed — ingests it through
+``Directory.publish_batch``, measures
 the resident bytes per peer of the packed columns, times IQN routing
 over the full directory — asserting the router attached to the stored
 columns (``stats.attach == "columns"``) — and verifies on a pinned
@@ -11,7 +13,8 @@ seeded grid that column-backed plans are bit-identical to the
 object-backed fast path and the naive loop.
 
 Results land in ``benchmarks/results/BENCH_columnar.json`` (bytes/peer,
-build seconds, routing latency, peak RSS per cell) alongside a readable
+synopsis-build and ingest seconds, routing latency, peak RSS per cell)
+alongside a readable
 table in ``directory_scale.txt``.
 
 CI runs this module with ``BENCH_DIRECTORY_SCALE_QUICK=1``, which caps
@@ -25,6 +28,7 @@ from __future__ import annotations
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.aggregation import PerPeerAggregation
@@ -33,8 +37,9 @@ from repro.datasets.queries import Query
 from repro.dht.ring import ChordRing
 from repro.experiments.report import format_table
 from repro.minerva.directory import Directory
-from repro.minerva.posts import PeerList, Post
+from repro.minerva.posts import PeerList, Post, PostBatch
 from repro.routing.base import LocalView, RoutingContext
+from repro.synopses.columnstore import column_for
 from repro.synopses.factory import SynopsisSpec
 
 from _util import measure, peak_rss_bytes, save_result, update_json_result
@@ -50,11 +55,13 @@ MAX_PEERS = 25
 RSS_CEILING_BYTES = 2 * 1024**3
 
 
-def make_posts(spec, num_peers, *, seed=7):
-    """One Post per peer per term, deterministic in (spec, size, seed)."""
+def draw_posts(num_peers, *, seed=7):
+    """One post per peer per term, deterministic in (size, seed): the
+    posts' metadata columns and each post's doc ids as an array."""
     rng = random.Random(seed)
     universe = 50 * num_peers
-    posts = []
+    columns = {key: [] for key in ("peer_ids", "terms", "cdf", "max_score", "avg_score", "term_space_size")}
+    id_arrays = []
     for index in range(num_peers):
         peer_id = f"p{index:06d}"
         base = rng.randrange(0, universe)
@@ -64,24 +71,53 @@ def make_posts(spec, num_peers, *, seed=7):
         )
         for term in TERMS:
             term_ids = frozenset(d for d in doc_ids if rng.random() < 0.7)
-            posts.append(
-                Post(
-                    peer_id=peer_id,
-                    term=term,
-                    cdf=max(1, len(term_ids)),
-                    max_score=rng.random(),
-                    avg_score=rng.random() / 2,
-                    term_space_size=rng.randrange(50, 500),
-                    synopsis=spec.build(term_ids),
-                )
-            )
-    return posts
+            columns["peer_ids"].append(peer_id)
+            columns["terms"].append(term)
+            columns["cdf"].append(max(1, len(term_ids)))
+            columns["max_score"].append(rng.random())
+            columns["avg_score"].append(rng.random() / 2)
+            columns["term_space_size"].append(rng.randrange(50, 500))
+            id_arrays.append(np.fromiter(term_ids, dtype=np.uint64, count=len(term_ids)))
+    return columns, id_arrays
 
 
-def build_directory(posts):
+def make_batch(spec, drawn):
+    """The drawn posts as a columnar batch: one batched synopsis build."""
+    columns, id_arrays = drawn
+    offsets = np.zeros(len(id_arrays) + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in id_arrays], out=offsets[1:])
+    rows = spec.build_rows(np.concatenate(id_arrays), offsets)
+    return PostBatch(
+        peer_ids=columns["peer_ids"],
+        terms=columns["terms"],
+        cdf=np.array(columns["cdf"], dtype=np.int64),
+        max_score=np.array(columns["max_score"], dtype=np.float64),
+        avg_score=np.array(columns["avg_score"], dtype=np.float64),
+        term_space_size=np.array(columns["term_space_size"], dtype=np.int64),
+        synopses=column_for(spec.empty()).holding(rows),
+    )
+
+
+def posts_of(batch):
+    """The batch as Post objects (synopses unpacked from their rows)."""
+    return [
+        Post(
+            peer_id=batch.peer_ids[row],
+            term=batch.terms[row],
+            cdf=int(batch.cdf[row]),
+            max_score=float(batch.max_score[row]),
+            avg_score=float(batch.avg_score[row]),
+            term_space_size=int(batch.term_space_size[row]),
+            synopsis=batch.synopses.materialize(row),
+        )
+        for row in range(len(batch))
+    ]
+
+
+def build_directory(batch):
     ring = ChordRing([f"n{i}" for i in range(16)], bits=24)
     directory = Directory(ring)
-    directory.publish_batch(posts)
+    directory.publish_batch(batch)
     return directory
 
 
@@ -133,9 +169,11 @@ def make_context(directory, spec, num_peers, *, seed=7):
 def run_cell(spec_label, num_peers):
     """Ingest + route one (family, size) cell; returns a result-row dict."""
     spec = SynopsisSpec.parse(spec_label)
-    posts = make_posts(spec, num_peers)
-    build = measure(lambda: build_directory(posts), warmup=0, repeats=1)
-    directory = build_directory(posts)
+    drawn = draw_posts(num_peers)
+    hashing = measure(lambda: make_batch(spec, drawn), warmup=0, repeats=1)
+    batch = make_batch(spec, drawn)
+    build = measure(lambda: build_directory(batch), warmup=0, repeats=1)
+    directory = build_directory(batch)
     bytes_per_peer = stored_bytes(directory) / num_peers
     router = IQNRouter(PerPeerAggregation())
     context = make_context(directory, spec, num_peers)
@@ -154,9 +192,10 @@ def run_cell(spec_label, num_peers):
     return {
         "spec": spec_label,
         "peers": num_peers,
-        "posts": len(posts),
+        "posts": len(batch),
         "mode": router.last_stats.mode,
         "candidates": router.last_stats.candidates,
+        "synopsis_build_s": hashing.median_s,
         "build_s": build.median_s,
         "bytes_per_peer": bytes_per_peer,
         "route_ms": routing.median_s * 1e3,
@@ -167,8 +206,8 @@ def run_cell(spec_label, num_peers):
 def check_bit_identity(spec_label, *, num_peers=500, seed=13):
     """Column-backed plans == object fast path == naive loop, exactly."""
     spec = SynopsisSpec.parse(spec_label)
-    posts = make_posts(spec, num_peers, seed=seed)
-    directory = build_directory(posts)
+    batch = make_batch(spec, draw_posts(num_peers, seed=seed))
+    directory = build_directory(batch)
     columnar_router = IQNRouter(PerPeerAggregation())
     columnar = columnar_router.rank_detailed(
         make_context(directory, spec, num_peers, seed=seed), MAX_PEERS
@@ -177,7 +216,7 @@ def check_bit_identity(spec_label, *, num_peers=500, seed=13):
     # Same content rebuilt on per-list private tables: the columnar view
     # cannot attach, so this exercises the object-era packing path.
     private = {term: PeerList(term=term) for term in TERMS}
-    for post in posts:
+    for post in posts_of(batch):
         private[term_of(post)].add(post)
     object_router = IQNRouter(PerPeerAggregation())
     object_plan = object_router.rank_detailed(
@@ -238,7 +277,8 @@ def sweep():
             "peers",
             "posts",
             "mode",
-            "build s",
+            "synopses s",
+            "ingest s",
             "B/peer",
             "route ms",
             "peak RSS MB",
@@ -249,6 +289,7 @@ def sweep():
                 r["peers"],
                 r["posts"],
                 r["mode"],
+                f"{r['synopsis_build_s']:.2f}",
                 f"{r['build_s']:.2f}",
                 f"{r['bytes_per_peer']:.0f}",
                 f"{r['route_ms']:.1f}",

@@ -7,8 +7,13 @@ inverted index per peer — perfect for protocol fidelity, hopeless at
 actually consume:
 
 - a real :class:`~repro.minerva.directory.Directory` on a small Chord
-  ring, populated through ``publish_batch`` in bounded chunks, so every
-  stored PeerList lands in the packed columnar store;
+  ring, populated through ``publish_batch`` in bounded chunks of peers.
+  Each chunk is one columnar :class:`~repro.minerva.posts.PostBatch`:
+  its synopses come out of the spec's batched builder
+  (:meth:`~repro.synopses.factory.SynopsisSpec.build_rows`, one hash
+  pass per block of peers) already packed, and the directory ingests
+  each term's rows straight into its packed columns — no synopsis
+  object or Post is built per (peer, term);
 - a *recomputable* document model: the doc-id set of ``(peer, term)``
   is a pure function of ``derive_seed(seed, "docs:<peer>:<term>")``, so
   nothing per-peer is retained — local views, coverage recall, and
@@ -39,18 +44,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..dht.ring import ChordRing
 from ..minerva.directory import Directory
-from ..minerva.posts import Post
+from ..minerva.posts import PostBatch
 from ..parallel.seeding import derive_seed
 from ..routing.base import LocalView
+from ..synopses.base import SetSynopsis
+from ..synopses.columnstore import SynopsisColumn, column_for
 from ..synopses.factory import SynopsisSpec
 from .queries import Query
 
 __all__ = ["ScaledTestbedConfig", "ScaledTestbed"]
 
-#: Peers per ``publish_batch`` call: bounds transient Post objects.
+#: Peers per ``publish_batch`` call: one columnar batch (and one message
+#: per directory node) per chunk.
 _PUBLISH_CHUNK = 2_000
+
+#: Peers whose doc-id arrays are hashed in one batched build; bounds the
+#: transient id arrays and hash temporaries of a chunk.
+_HASH_BLOCK = 500
 
 
 @dataclass(frozen=True)
@@ -100,7 +114,7 @@ class ScaledTestbedConfig:
 class ScaledTestbed:
     """A directory-only MINERVA network at 10k+ peers (TopologyHost).
 
-    Construction publishes one Post per (peer, posted term) into a real
+    Construction publishes one post per (peer, posted term) into a real
     :class:`Directory` and retains nothing else per peer; every derived
     quantity (doc sets, local views, coverage recall) is recomputed
     from seeds on demand.
@@ -194,33 +208,69 @@ class ScaledTestbed:
             for offset in rng.sample(range(config.topic_pool), count)
         )
 
-    def _post_for(self, index: int, term: str) -> Post:
-        ids = self.doc_ids(index, term)
+    def _scores(self, index: int, term: str) -> tuple[float, float]:
+        """``(max_score, avg_score)`` of peer ``index``'s post for ``term``."""
         rng = random.Random(
             derive_seed(self.config.seed, f"scores:{index}:{term}")
         )
         max_score = 0.2 + 0.8 * rng.random()
-        return Post(
-            peer_id=self.peer_id(index),
-            term=term,
-            cdf=len(ids),
-            max_score=max_score,
-            avg_score=max_score * (0.3 + 0.4 * rng.random()),
-            term_space_size=self.config.terms_per_topic
-            + self.config.noise_terms,
-            synopsis=self.spec.build(ids),
-        )
+        return max_score, max_score * (0.3 + 0.4 * rng.random())
 
     def _publish_all(self) -> None:
-        batch: list[Post] = []
-        for index in range(self.config.num_peers):
-            for term in self.peer_terms(index):
-                batch.append(self._post_for(index, term))
-            if index % _PUBLISH_CHUNK == _PUBLISH_CHUNK - 1:
-                self.directory.publish_batch(batch)
-                batch = []
-        if batch:
-            self.directory.publish_batch(batch)
+        for start in range(0, self.config.num_peers, _PUBLISH_CHUNK):
+            stop = min(start + _PUBLISH_CHUNK, self.config.num_peers)
+            self.directory.publish_batch(self._chunk_batch(start, stop))
+
+    def _chunk_batch(self, start: int, stop: int) -> PostBatch:
+        """One columnar batch of every post of peers ``start .. stop - 1``.
+
+        Posts are in peer order, each peer's terms sorted.  Doc-id sets
+        are drawn as ``doc_ids`` draws them and turned into arrays at
+        once; every block of :data:`_HASH_BLOCK` peers is hashed in one
+        batched build.
+        """
+        peer_ids: list[str] = []
+        terms: list[str] = []
+        cdf: list[int] = []
+        max_scores: list[float] = []
+        avg_scores: list[float] = []
+        spec = self.spec
+        layout = column_for(spec.empty())
+        blocks: list[np.ndarray] = []
+        objects: list[SetSynopsis | None] = []
+        for block in range(start, stop, _HASH_BLOCK):
+            id_arrays: list[np.ndarray] = []
+            for index in range(block, min(block + _HASH_BLOCK, stop)):
+                peer_id = self.peer_id(index)
+                for term in self.peer_terms(index):
+                    ids = self.doc_ids(index, term)
+                    id_arrays.append(np.fromiter(ids, dtype=np.uint64, count=len(ids)))
+                    max_score, avg_score = self._scores(index, term)
+                    peer_ids.append(peer_id)
+                    terms.append(term)
+                    cdf.append(len(ids))
+                    max_scores.append(max_score)
+                    avg_scores.append(avg_score)
+            if layout is None:
+                # No packed column holds this spec's synopses.
+                objects.extend(spec.build(ids) for ids in id_arrays)
+                continue
+            offsets = np.zeros(len(id_arrays) + 1, dtype=np.int64)
+            np.cumsum([len(ids) for ids in id_arrays], out=offsets[1:])
+            blocks.append(spec.build_rows(np.concatenate(id_arrays), offsets))
+        synopses: SynopsisColumn | list[SetSynopsis | None] = (
+            objects if layout is None else layout.holding(np.concatenate(blocks))
+        )
+        term_space = self.config.terms_per_topic + self.config.noise_terms
+        return PostBatch(
+            peer_ids=peer_ids,
+            terms=terms,
+            cdf=np.array(cdf, dtype=np.int64),
+            max_score=np.array(max_scores, dtype=np.float64),
+            avg_score=np.array(avg_scores, dtype=np.float64),
+            term_space_size=np.full(len(peer_ids), term_space, dtype=np.int64),
+            synopses=synopses,
+        )
 
     # -- queries and measurement ------------------------------------------
 

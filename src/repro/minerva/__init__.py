@@ -3,12 +3,13 @@
 from .directory import Directory
 from .engine import MinervaEngine, QueryOutcome
 from .peer import Peer
-from .posts import POST_STATS_BITS, PeerList, Post
+from .posts import POST_STATS_BITS, PeerList, Post, PostBatch
 from .stats import GlobalTermStats, global_term_statistics
 from .topk_peers import TopKPeerResult, fetch_top_k_peers
 
 __all__ = [
     "Post",
+    "PostBatch",
     "PeerList",
     "POST_STATS_BITS",
     "Peer",

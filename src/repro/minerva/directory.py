@@ -15,10 +15,12 @@ as ``dht_hop`` messages, payloads as ``post`` / ``peerlist_fetch``.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..dht.ring import ChordRing
 from ..net.cost import CostModel, MessageKinds
 from ..synopses.columnstore import PeerIdTable
-from .posts import PeerList, Post
+from .posts import PeerList, Post, PostBatch
 
 __all__ = ["Directory"]
 
@@ -78,7 +80,7 @@ class Directory:
                 node.store[key] = peer_list
             peer_list.add(post, retain=False)
 
-    def publish_batch(self, posts: list[Post]) -> int:
+    def publish_batch(self, posts: PostBatch | Sequence[Post]) -> int:
         """Publish several Posts, batching per destination node.
 
         Section 7.2: "peers should batch multiple posts that are directed
@@ -86,38 +88,52 @@ class Directory:
         Posts whose terms hash to the same directory node share one
         message (one routing trip, one per-message overhead); the payload
         bits are unchanged.  Returns the number of messages sent.
+
+        ``posts`` is a columnar :class:`PostBatch` (a list of Posts is
+        converted once).  Each term's posts go into its stored columns
+        as one :meth:`PeerList.add_batch`, with no Post built per row;
+        peers are interned owner by owner, in post order.
         """
-        by_owner: dict[int, list[Post]] = {}
-        hops_charged: set[int] = set()
-        for post in posts:
-            lookup = self.ring.lookup(
-                post.term, start_node=self._start_node(post.peer_id)
-            )
-            # Route once per destination node, not once per post: after
-            # the first lookup the peer knows the owner's address.
-            if lookup.owner not in hops_charged:
-                self.cost.record(MessageKinds.DHT_HOP, count=lookup.hops)
-                hops_charged.add(lookup.owner)
-            by_owner.setdefault(lookup.owner, []).append(post)
+        batch = posts if isinstance(posts, PostBatch) else PostBatch.from_posts(posts)
+        ring = self.ring
+        owner_of_term: dict[str, int] = {}
+        by_owner: dict[int, list[int]] = {}
+        for index, term in enumerate(batch.terms):
+            owner = owner_of_term.get(term)
+            if owner is None:
+                lookup = ring.lookup(
+                    term, start_node=self._start_node(batch.peer_ids[index])
+                )
+                owner = owner_of_term[term] = lookup.owner
+                # Route once per destination node, not once per post:
+                # after the first lookup the peer knows the owner's address.
+                if owner not in by_owner:
+                    self.cost.record(MessageKinds.DHT_HOP, count=lookup.hops)
+                    by_owner[owner] = []
+            by_owner[owner].append(index)
         messages = 0
-        for owner, owner_posts in by_owner.items():
-            total_bits = sum(post.size_in_bits for post in owner_posts)
+        for indices in by_owner.values():
+            owner_batch = batch.select(indices)
             self.cost.record(
                 MessageKinds.POST,
-                bits=total_bits * self.replicas,
+                bits=owner_batch.size_in_bits * self.replicas,
                 count=self.replicas,
             )
             messages += self.replicas
-            for post in owner_posts:
-                key = self.ring.key_id(post.term)
-                for node in self.ring.replica_nodes(post.term, self.replicas):
+            interned = [self.peer_table.intern(peer) for peer in owner_batch.peer_ids]
+            by_term: dict[str, list[int]] = {}
+            for position, term in enumerate(owner_batch.terms):
+                by_term.setdefault(term, []).append(position)
+            for term, positions in by_term.items():
+                term_batch = owner_batch.select(positions)
+                term_ids = [interned[position] for position in positions]
+                key = ring.key_id(term)
+                for node in ring.replica_nodes(term, self.replicas):
                     peer_list = node.store.get(key)
                     if peer_list is None:
-                        peer_list = PeerList(
-                            term=post.term, peer_table=self.peer_table
-                        )
+                        peer_list = PeerList(term=term, peer_table=self.peer_table)
                         node.store[key] = peer_list
-                    peer_list.add(post, retain=False)
+                    peer_list.add_batch(term_batch, term_ids)
         return messages
 
     # -- lookups --------------------------------------------------------------

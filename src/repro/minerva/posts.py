@@ -32,10 +32,10 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..synopses.base import SetSynopsis
-from ..synopses.columnstore import PeerIdTable, TermColumns
+from ..synopses.columnstore import PeerIdTable, SynopsisColumn, TermColumns
 from ..synopses.histogram import ScoreHistogramSynopsis
 
-__all__ = ["Post", "PeerList", "POST_STATS_BITS"]
+__all__ = ["Post", "PostBatch", "PeerList", "POST_STATS_BITS"]
 
 #: Wire size of a Post's fixed statistics block: peer contact info plus
 #: (cdf, max_score, avg_score, |V|) — 5 fields at 32 bits each.
@@ -74,6 +74,108 @@ class Post:
         if self.histogram is not None:
             bits += self.histogram.size_in_bits
         return bits
+
+
+@dataclass(frozen=True)
+class PostBatch:
+    """Posts in columns: row ``i`` is ``peer_ids[i]``'s Post for ``terms[i]``.
+
+    The form :meth:`~repro.minerva.directory.Directory.publish_batch`
+    ingests.  ``synopses`` is either packed — a column
+    (:meth:`~repro.synopses.columnstore.SynopsisColumn.holding`) whose
+    row ``i`` is post ``i``'s synopsis, as the batched builders
+    (:meth:`~repro.synopses.factory.SynopsisSpec.build_rows`) produce it
+    — or one synopsis object (or ``None``) per post.  ``histograms`` is
+    ``None`` when no post carries one.
+    """
+
+    peer_ids: Sequence[str]
+    terms: Sequence[str]
+    cdf: np.ndarray
+    max_score: np.ndarray
+    avg_score: np.ndarray
+    term_space_size: np.ndarray
+    synopses: SynopsisColumn | Sequence[SetSynopsis | None]
+    histograms: Sequence[ScoreHistogramSynopsis | None] | None = None
+
+    def __post_init__(self) -> None:
+        synopses = self.synopses
+        lengths = [
+            len(self.peer_ids),
+            len(self.terms),
+            len(self.cdf),
+            len(self.max_score),
+            len(self.avg_score),
+            len(self.term_space_size),
+            synopses.capacity if isinstance(synopses, SynopsisColumn) else len(synopses),
+            len(self.peer_ids if self.histograms is None else self.histograms),
+        ]
+        if len(set(lengths)) != 1:
+            raise ValueError(f"PostBatch columns differ in length: {lengths}")
+
+    @classmethod
+    def from_posts(cls, posts: Sequence[Post]) -> "PostBatch":
+        """The batch of ``posts``, in order (synopses stay objects)."""
+        histograms = [post.histogram for post in posts]
+        return cls(
+            peer_ids=[post.peer_id for post in posts],
+            terms=[post.term for post in posts],
+            cdf=np.array([post.cdf for post in posts], dtype=np.int64),
+            max_score=np.array([post.max_score for post in posts], dtype=np.float64),
+            avg_score=np.array([post.avg_score for post in posts], dtype=np.float64),
+            term_space_size=np.array(
+                [post.term_space_size for post in posts], dtype=np.int64
+            ),
+            synopses=[post.synopsis for post in posts],
+            histograms=(
+                histograms
+                if any(histogram is not None for histogram in histograms)
+                else None
+            ),
+        )
+
+    def select(self, rows: Sequence[int]) -> "PostBatch":
+        """The posts at ``rows``, in that order."""
+        index = np.asarray(rows, dtype=np.int64)
+        synopses = self.synopses
+        return PostBatch(
+            peer_ids=[self.peer_ids[row] for row in rows],
+            terms=[self.terms[row] for row in rows],
+            cdf=self.cdf[index],
+            max_score=self.max_score[index],
+            avg_score=self.avg_score[index],
+            term_space_size=self.term_space_size[index],
+            synopses=(
+                synopses.take(index)
+                if isinstance(synopses, SynopsisColumn)
+                else [synopses[row] for row in rows]
+            ),
+            histograms=(
+                None
+                if self.histograms is None
+                else [self.histograms[row] for row in rows]
+            ),
+        )
+
+    @property
+    def size_in_bits(self) -> int:
+        """Wire size of all posts: the sum of their ``Post.size_in_bits``."""
+        synopses = self.synopses
+        if isinstance(synopses, SynopsisColumn):
+            synopsis_bits = len(self) * synopses.bits_per_row
+        else:
+            synopsis_bits = sum(
+                synopsis.size_in_bits for synopsis in synopses if synopsis is not None
+            )
+        histogram_bits = sum(
+            histogram.size_in_bits
+            for histogram in self.histograms or ()
+            if histogram is not None
+        )
+        return POST_STATS_BITS * len(self) + synopsis_bits + histogram_bits
+
+    def __len__(self) -> int:
+        return len(self.peer_ids)
 
 
 class _PostsView(MutableMapping[str, Post]):
@@ -204,6 +306,32 @@ class PeerList:
             self._retained[post.peer_id] = post
         else:
             self._retained.pop(post.peer_id, None)
+
+    def add_batch(self, batch: PostBatch, interned: Sequence[int]) -> None:
+        """Insert or refresh every post of ``batch`` (directory ingest).
+
+        ``interned`` holds the posters' ids in :attr:`peer_table`.  The
+        result equals ``add(post, retain=False)`` of each post in order
+        (:meth:`TermColumns.upsert_rows`), with no Post built per row.
+        """
+        stray = [term for term in batch.terms if term != self.term]
+        if stray:
+            raise ValueError(
+                f"post for term {stray[0]!r} added to PeerList of {self.term!r}"
+            )
+        self._columns.upsert_rows(
+            interned,
+            batch.cdf,
+            batch.max_score,
+            batch.avg_score,
+            batch.term_space_size,
+            batch.synopses,
+            batch.histograms,
+        )
+        if self._cache or self._retained:
+            for peer_id in batch.peer_ids:
+                self._cache.pop(peer_id, None)
+                self._retained.pop(peer_id, None)
 
     def _remove(self, peer_id: str) -> bool:
         removed = self._columns.remove(peer_id)

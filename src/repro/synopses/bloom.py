@@ -27,20 +27,28 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .base import IncompatibleSynopsesError, SetSynopsis
-from .hashing import ids_to_uint64_array, uniform_hash, uniform_hash_array
+from .hashing import (
+    ids_to_uint64_array,
+    segment_layout,
+    splitmix64,
+    splitmix64_array,
+    uniform_hash,
+)
 
 __all__ = [
     "BloomFilter",
+    "bloom_rows",
     "optimal_num_hashes",
     "cardinality_from_popcount",
     "popcount_cardinality_table",
     "pack_bit_row",
     "pack_bit_rows",
+    "unpack_bit_row",
     "batch_difference_popcounts",
 ]
 
@@ -105,6 +113,62 @@ def pack_bit_row(bits: int, num_bits: int) -> np.ndarray:
     return np.frombuffer(
         bits.to_bytes(num_words * 8, "little"), dtype="<u8"
     ).copy()
+
+
+def unpack_bit_row(row: np.ndarray) -> int:
+    """Inverse of :func:`pack_bit_row`: one packed row as a big-int."""
+    return int.from_bytes(row.astype("<u8").tobytes(), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_salts(seed: int, num_hashes: int) -> np.ndarray:
+    """Read-only ``(k, 1)`` column of each probe's hash salt:
+    ``uniform_hash(x, seed ^ (j + 1))`` is ``splitmix64(x ^ salt_j)``."""
+    salts = np.array(
+        [[splitmix64(seed ^ (probe + 1))] for probe in range(num_hashes)],
+        dtype=np.uint64,
+    )
+    salts.flags.writeable = False
+    return salts
+
+
+def bloom_rows(
+    ids: Iterable[int] | np.ndarray,
+    offsets: Sequence[int] | np.ndarray,
+    *,
+    num_bits: int,
+    num_hashes: int,
+    seed: int,
+) -> np.ndarray:
+    """Bloom filters of many id sets, one packed ``uint64`` row per set.
+
+    ``ids`` concatenates the sets and ``offsets`` bounds them (set ``s``
+    is ``ids[offsets[s]:offsets[s + 1]]``, see
+    :func:`~repro.synopses.hashing.segment_layout`).  Probe ``j`` of an
+    id sets bit ``uniform_hash(id, seed ^ (j + 1)) % num_bits`` of its
+    set's filter; all ``k`` probes of the whole batch are hashed at once
+    and their bits ORed into the words of every row, so row ``s`` equals
+    :func:`pack_bit_row` of the filter holding set ``s``.
+    """
+    if num_bits <= 0:
+        raise ValueError(f"num_bits must be positive, got {num_bits}")
+    if num_hashes <= 0:
+        raise ValueError(f"num_hashes must be positive, got {num_hashes}")
+    id_array = ids_to_uint64_array(ids)
+    bounds, segment = segment_layout(offsets, id_array.size)
+    num_words = (num_bits + 63) // 64
+    rows = np.zeros((bounds.size - 1, num_words), dtype=np.uint64)
+    if id_array.size:
+        # (k, n) probe positions: row j is uniform_hash(ids, seed ^ (j + 1)).
+        position = splitmix64_array(
+            id_array ^ _probe_salts(seed, num_hashes)
+        ) % np.uint64(num_bits)
+        np.bitwise_or.at(
+            rows.reshape(-1),
+            segment * num_words + (position >> np.uint64(6)).astype(np.int64),
+            np.uint64(1) << (position & np.uint64(63)),
+        )
+    return rows
 
 
 def pack_bit_rows(bit_vectors: Iterable[int], num_bits: int) -> np.ndarray:
@@ -176,23 +240,19 @@ class BloomFilter(SetSynopsis):
     ) -> "BloomFilter":
         """Build a filter containing every id in ``ids``.
 
-        Vectorized: all ``k * n`` probe positions are hashed as arrays
-        and deduplicated before the bit vector is assembled, identical
-        bit-for-bit to inserting ids one at a time.
+        The one-set case of :func:`bloom_rows`, unpacked to the big-int
+        bit vector; ids wrap to 64 bits as in
+        :func:`~repro.synopses.hashing.ids_to_uint64_array`.
         """
         id_array = ids_to_uint64_array(ids)
-        if id_array.size == 0:
-            return cls(num_bits, num_hashes, seed, 0)
-        positions: set[int] = set()
-        for probe in range(num_hashes):
-            hashed = uniform_hash_array(id_array, seed ^ (probe + 1))
-            positions.update(
-                np.unique(hashed % np.uint64(num_bits)).tolist()
-            )
-        bits = 0
-        for position in positions:
-            bits |= 1 << position
-        return cls(num_bits, num_hashes, seed, bits)
+        row = bloom_rows(
+            id_array,
+            (0, id_array.size),
+            num_bits=num_bits,
+            num_hashes=num_hashes,
+            seed=seed,
+        )[0]
+        return cls(num_bits, num_hashes, seed, unpack_bit_row(row))
 
     def empty_like(self) -> "BloomFilter":
         return BloomFilter(self._num_bits, self._num_hashes, self._seed)

@@ -30,7 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .base import SetSynopsis
-from .bloom import BloomFilter, pack_bit_row
+from .bloom import BloomFilter, pack_bit_row, unpack_bit_row
 from .hashsketch import HashSketch, pack_bitmap_row
 from .histogram import ScoreHistogramSynopsis
 from .loglog import REGISTER_BITS, LogLogCounter, pack_register_row
@@ -180,6 +180,11 @@ class SynopsisColumn:
         self._matrix[target] = self._matrix[source]
         self._matrix[source] = self.neutral
 
+    @property
+    def capacity(self) -> int:
+        """Rows the matrix holds (stored, neutral or spare)."""
+        return len(self._matrix)
+
     def neutral_matrix(self, rows: int) -> np.ndarray:
         """A fresh all-neutral matrix with ``rows`` rows."""
         return self._make_matrix(rows)
@@ -187,6 +192,36 @@ class SynopsisColumn:
     def rows(self, count: int) -> np.ndarray:
         """Live view of the first ``count`` packed rows."""
         return self._matrix[:count]
+
+    def holding(self, matrix: np.ndarray) -> "SynopsisColumn":
+        """A column of this family and parameters whose rows are ``matrix``.
+
+        How a batch of already-packed synopses travels to
+        :meth:`TermColumns.upsert_rows`; ``matrix`` must have the
+        family's row width and dtype.
+        """
+        column = self.fresh(1)
+        layout = column._matrix
+        if (
+            matrix.ndim != 2
+            or matrix.shape[1:] != layout.shape[1:]
+            or matrix.dtype != layout.dtype
+        ):
+            raise ValueError(
+                f"{type(self).__name__}{self.params} rows are "
+                f"{layout.dtype}[:, {layout.shape[1]}], got "
+                f"{matrix.dtype}{list(matrix.shape)}"
+            )
+        column._matrix = matrix
+        return column
+
+    def matches(self, other: "SynopsisColumn") -> bool:
+        """Whether ``other`` packs the same family with the same parameters."""
+        return type(other) is type(self) and other.params == self.params
+
+    def take(self, rows: np.ndarray) -> "SynopsisColumn":
+        """A column holding copies of the given rows, in that order."""
+        return self.holding(self._matrix[rows])
 
     def set_packed_row(self, row: int, values: np.ndarray) -> None:
         """Store one already-packed row (cluster-synopsis merging)."""
@@ -240,12 +275,8 @@ class BloomColumn(SynopsisColumn):
         return pack_bit_row(synopsis.raw_bits, self.num_bits)
 
     def materialize(self, row: int) -> BloomFilter:
-        payload = self._matrix[row].astype("<u8").tobytes()
         return BloomFilter(
-            self.num_bits,
-            self.num_hashes,
-            self.seed,
-            int.from_bytes(payload, "little"),
+            self.num_bits, self.num_hashes, self.seed, unpack_bit_row(self._matrix[row])
         )
 
     def accepts(self, synopsis: SetSynopsis) -> bool:
@@ -477,29 +508,114 @@ class TermColumns:
         histogram: ScoreHistogramSynopsis | None,
     ) -> int:
         """Insert or overwrite one peer's posting; returns its row."""
-        interned = self._table.intern(peer_id)
-        row = self._row_of.get(interned)
-        if row is None:
-            row = self._size
-            self._grow(row + 1)
-            self._size = row + 1
-            self._row_of[interned] = row
-            self._peer_ids[row] = interned
-        self._cdf[row] = cdf
-        self._max_score[row] = max_score
-        self._avg_score[row] = avg_score
-        self._term_space[row] = term_space_size
-        self._store_synopsis(row, interned, synopsis)
-        if histogram is None:
-            self._histograms.pop(interned, None)
+        rows = self.upsert_rows(
+            [self._table.intern(peer_id)],
+            [cdf],
+            [max_score],
+            [avg_score],
+            [term_space_size],
+            [synopsis],
+            None if histogram is None else [histogram],
+        )
+        return rows[0]
+
+    def upsert_rows(
+        self,
+        interned: Sequence[int] | np.ndarray,
+        cdf: Sequence[int] | np.ndarray,
+        max_score: Sequence[float] | np.ndarray,
+        avg_score: Sequence[float] | np.ndarray,
+        term_space_size: Sequence[int] | np.ndarray,
+        synopses: "SynopsisColumn | Sequence[SetSynopsis | None]",
+        histograms: Sequence[ScoreHistogramSynopsis | None] | None = None,
+    ) -> list[int]:
+        """Insert or overwrite a batch of postings; returns their rows.
+
+        Batch row ``i`` is peer ``interned[i]``'s posting (ids already
+        interned in :attr:`table`).  ``synopses`` is either packed — a
+        column of the family whose row ``i`` is batch row ``i``'s
+        synopsis (:meth:`SynopsisColumn.holding`) — or one object (or
+        ``None``) per row, packed here.  The result equals upserting the
+        rows one by one in order: new peers append in first-occurrence
+        order, existing rows are overwritten in place, a peer repeated
+        in the batch ends with its last row, and synopses the stored
+        column does not accept are kept as foreign objects.
+        """
+        ids = interned.tolist() if isinstance(interned, np.ndarray) else list(interned)
+        count = len(ids)
+        row_of = self._row_of
+        size = self._size
+        row_list: list[int] = []
+        for peer in ids:
+            row = row_of.get(peer)
+            if row is None:
+                row = size
+                row_of[peer] = row
+                size += 1
+            row_list.append(row)
+        self._grow(size)
+        self._size = size
+        # ``target`` holds each written row once; ``source`` picks the
+        # batch index that writes it last.  One row is indexed plainly.
+        source: int | slice | np.ndarray
+        target: int | np.ndarray
+        if count == 1:
+            source, target = 0, row_list[0]
         else:
-            self._histograms[interned] = histogram
+            rows = np.array(row_list, dtype=np.int64)
+            source, target = slice(None), rows
+            if len(set(row_list)) < count:
+                _, first_from_end = np.unique(rows[::-1], return_index=True)
+                source = count - 1 - first_from_end
+                target = rows[source]
+
+        def last(values: Any, dtype: Any) -> Any:
+            """The values written last to each row of ``target``."""
+            if isinstance(source, np.ndarray):
+                return np.asarray(values, dtype=dtype)[source]
+            return values[source]
+
+        if count:
+            self._peer_ids[target] = last(ids, np.int64)
+            self._cdf[target] = last(cdf, np.int64)
+            self._max_score[target] = last(max_score, np.float64)
+            self._avg_score[target] = last(avg_score, np.float64)
+            self._term_space[target] = last(term_space_size, np.int64)
+        if not isinstance(synopses, SynopsisColumn):
+            for row, peer, synopsis in zip(row_list, ids, synopses):
+                self._store_synopsis(row, peer, synopsis)
+        elif count:
+            self._has_synopsis[target] = True
+            column = self._column
+            if column is None:
+                column = synopses.fresh(len(self._peer_ids))
+                self._column = column
+            if column.matches(synopses):
+                column._matrix[target] = last(synopses.rows(count), None)
+                if self._foreign:
+                    for peer in ids:
+                        self._foreign.pop(peer, None)
+            else:
+                # Packed rows of another family or parameters.
+                column._matrix[target] = column.neutral
+                for index, peer in enumerate(ids):
+                    self._foreign[peer] = synopses.materialize(index)
+        if histograms is not None or self._histograms:
+            for index, peer in enumerate(ids):
+                histogram = None if histograms is None else histograms[index]
+                if histogram is None:
+                    self._histograms.pop(peer, None)
+                else:
+                    self._histograms[peer] = histogram
         self._invalidate()
-        return row
+        return row_list
 
     def _store_synopsis(
         self, row: int, interned: int, synopsis: SetSynopsis | None
     ) -> None:
+        """Store one synopsis object at ``row``: packed when the column
+        (created from the first packable synopsis) accepts it, else kept
+        as a foreign object."""
         column = self._column
         if synopsis is None:
             self._has_synopsis[row] = False
@@ -608,7 +724,7 @@ class TermColumns:
                 continue
             if column is None:
                 column = packed.fresh(len(store._peer_ids))
-            elif type(packed) is not type(column) or packed.params != column.params:
+            elif not column.matches(packed):
                 raise ValueError(
                     f"cannot concatenate {type(packed).__name__}{packed.params}"
                     f" rows onto {type(column).__name__}{column.params} rows"

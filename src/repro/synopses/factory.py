@@ -12,14 +12,16 @@ labels a canonical, parseable form — ``"mips-64"``, ``"bf-2048"``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .base import SetSynopsis
-from .bloom import BloomFilter
-from .hashsketch import HashSketch
+from .bloom import BloomFilter, bloom_rows
+from .hashsketch import HashSketch, hash_sketch_rows
 from .loglog import REGISTER_BITS as LOGLOG_REGISTER_BITS
-from .loglog import LogLogCounter
-from .mips import BITS_PER_POSITION, MinWisePermutations
+from .loglog import LogLogCounter, loglog_rows
+from .mips import BITS_PER_POSITION, MinWisePermutations, mips_rows
 
 __all__ = ["SynopsisSpec", "KINDS"]
 
@@ -181,6 +183,38 @@ class SynopsisSpec:
             )
         return HashSketch.from_ids(
             ids,
+            num_bitmaps=self.parameter,
+            bitmap_length=self.bitmap_length,
+            seed=self.seed,
+        )
+
+    def build_rows(
+        self, ids: Iterable[int] | np.ndarray, offsets: Sequence[int] | np.ndarray
+    ) -> np.ndarray:
+        """Synopses of many id sets at once, as the family's packed rows.
+
+        ``ids`` concatenates the sets and ``offsets`` bounds them (set
+        ``s`` is ``ids[offsets[s]:offsets[s + 1]]``); row ``s`` is the
+        packed form of ``build`` of set ``s`` — the row layout of the
+        family's column in :mod:`repro.synopses.columnstore`.
+        """
+        if self.kind == "mips":
+            return mips_rows(
+                ids, offsets, num_permutations=self.parameter, seed=self.seed
+            )
+        if self.kind == "bloom":
+            return bloom_rows(
+                ids,
+                offsets,
+                num_bits=self.parameter,
+                num_hashes=self.num_hashes,
+                seed=self.seed,
+            )
+        if self.kind == "loglog":
+            return loglog_rows(ids, offsets, num_buckets=self.parameter, seed=self.seed)
+        return hash_sketch_rows(
+            ids,
+            offsets,
             num_bitmaps=self.parameter,
             bitmap_length=self.bitmap_length,
             seed=self.seed,

@@ -16,13 +16,14 @@ avalanche behaviour, implemented in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "MERSENNE_PRIME_61",
     "ids_to_uint64_array",
+    "segment_layout",
     "splitmix64",
     "splitmix64_array",
     "uniform_hash",
@@ -37,6 +38,12 @@ __all__ = [
 MERSENNE_PRIME_61 = (1 << 61) - 1
 
 _MASK64 = (1 << 64) - 1
+
+# SplitMix64's constants as NumPy scalars, built once.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def ids_to_uint64_array(ids: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -72,6 +79,32 @@ def ids_to_uint64_array(ids: Iterable[int] | np.ndarray) -> np.ndarray:
     )
 
 
+def segment_layout(
+    offsets: Sequence[int] | np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate segment ``offsets`` over ``size`` concatenated ids.
+
+    The batched synopsis builders take many id sets as one concatenated
+    array: set ``s`` is ``ids[offsets[s]:offsets[s + 1]]``, so ``offsets``
+    holds ``S + 1`` boundaries that start at 0, never decrease and end at
+    ``size``.  Returns the boundaries as ``int64`` and the set number of
+    every id.
+    """
+    bounds = np.asarray(offsets, dtype=np.int64)
+    lengths = bounds[1:] - bounds[:-1]
+    if (
+        bounds.ndim != 1
+        or bounds.size == 0
+        or bounds[0] != 0
+        or bounds[-1] != size
+        or (lengths.size and lengths.min() < 0)
+    ):
+        raise ValueError(
+            f"offsets must rise from 0 to {size} (the id count), got {offsets!r}"
+        )
+    return bounds, np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+
+
 def splitmix64(x: int) -> int:
     """Return the SplitMix64 mix of ``x`` as an unsigned 64-bit integer.
 
@@ -92,11 +125,10 @@ def splitmix64_array(values: np.ndarray) -> np.ndarray:
     Bit-identical to the scalar version — unsigned 64-bit NumPy
     arithmetic wraps exactly like the masked Python-int arithmetic.
     """
-    x = values.astype(np.uint64, copy=True)
-    x += np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = np.asarray(values, dtype=np.uint64) + _GOLDEN
+    x = (x ^ (x >> _U30)) * _MIX1
+    x = (x ^ (x >> _U27)) * _MIX2
+    return x ^ (x >> _U31)
 
 
 def uniform_hash(key: int, seed: int = 0) -> int:
@@ -112,7 +144,7 @@ def uniform_hash(key: int, seed: int = 0) -> int:
 def uniform_hash_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorized :func:`uniform_hash` — same values, array at a time."""
     salt = np.uint64(splitmix64(seed))
-    return splitmix64_array(keys.astype(np.uint64) ^ salt)
+    return splitmix64_array(np.asarray(keys, dtype=np.uint64) ^ salt)
 
 
 @dataclass(frozen=True)

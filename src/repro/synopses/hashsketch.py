@@ -38,10 +38,11 @@ from .base import (
     SetSynopsis,
     UnsupportedOperationError,
 )
-from .hashing import ids_to_uint64_array, uniform_hash_array
+from .hashing import ids_to_uint64_array, segment_layout, uniform_hash_array
 
 __all__ = [
     "HashSketch",
+    "hash_sketch_rows",
     "PCSA_PHI",
     "cardinality_from_rho_sum",
     "rho_sum_cardinality_table",
@@ -133,6 +134,53 @@ def _rho(value: int, limit: int) -> int:
     return min((value & -value).bit_length() - 1, limit)
 
 
+def hash_sketch_rows(
+    ids: Iterable[int] | np.ndarray,
+    offsets: Sequence[int] | np.ndarray,
+    *,
+    num_bitmaps: int,
+    bitmap_length: int,
+    seed: int,
+) -> np.ndarray:
+    """PCSA sketches of many id sets, one ``uint64`` row per set.
+
+    ``ids`` concatenates the sets and ``offsets`` bounds them (set ``s``
+    is ``ids[offsets[s]:offsets[s + 1]]``).  Each id's hash
+    ``h = uniform_hash(id, seed)`` picks bucket ``h % m``; the least
+    significant 1-bit of ``h // m`` (``L - 1`` when that is 0, and never
+    above it) is the bit it sets there.  The whole batch is hashed once
+    and the bits are OR-scattered into the rows.
+
+    Each bitmap takes ``ceil(L / 64)`` little-endian words, so with
+    ``L <= 64`` a row is exactly :func:`pack_bitmap_row` of the sketch.
+    """
+    if num_bitmaps <= 0:
+        raise ValueError(f"num_bitmaps must be positive, got {num_bitmaps}")
+    if bitmap_length <= 0:
+        raise ValueError(f"bitmap_length must be positive, got {bitmap_length}")
+    id_array = ids_to_uint64_array(ids)
+    bounds, segment = segment_layout(offsets, id_array.size)
+    words_per_bitmap = (bitmap_length + 63) // 64
+    rows = np.zeros((bounds.size - 1, num_bitmaps * words_per_bitmap), dtype=np.uint64)
+    if id_array.size:
+        hashed = uniform_hash_array(id_array, seed)
+        buckets = (hashed % np.uint64(num_bitmaps)).astype(np.int64)
+        rest = hashed // np.uint64(num_bitmaps)
+        # rest & (-rest) isolates the lowest set bit 2^p (exact in
+        # float64); frexp's exponent of it is p + 1, and 0 when rest is 0.
+        _, exponent = np.frexp((rest & (np.uint64(0) - rest)).astype(np.float64))
+        positions = np.where(
+            exponent == 0, bitmap_length - 1, np.minimum(exponent - 1, bitmap_length - 1)
+        ).astype(np.int64)
+        word = (segment * num_bitmaps + buckets) * words_per_bitmap + positions // 64
+        np.bitwise_or.at(
+            rows.reshape(-1),
+            word,
+            np.uint64(1) << (positions % 64).astype(np.uint64),
+        )
+    return rows
+
+
 class HashSketch(SetSynopsis):
     """Immutable PCSA hash sketch.
 
@@ -189,31 +237,22 @@ class HashSketch(SetSynopsis):
     ) -> "HashSketch":
         """Build a sketch of ``ids``.
 
-        Vectorized: hashes, bucket assignment, and the ρ (least
-        significant 1-bit) computation all run as array operations; the
-        result is bit-identical to scalar insertion via
-        ``uniform_hash``/:func:`_rho`.
+        The one-set case of :func:`hash_sketch_rows`, unpacked to one
+        integer per bitmap (a big-int when ``bitmap_length > 64``).
         """
         id_array = ids_to_uint64_array(ids)
-        bitmaps = [0] * num_bitmaps
-        if id_array.size:
-            hashed = uniform_hash_array(id_array, seed)
-            buckets = hashed % np.uint64(num_bitmaps)
-            rest = hashed // np.uint64(num_bitmaps)
-            # Least significant set bit: rest & (-rest) in wrapping uint64;
-            # powers of two are exact in float64, so log2 recovers ρ.
-            lsb = rest & (np.uint64(0) - rest)
-            positions = np.full(rest.shape, bitmap_length - 1, dtype=np.int64)
-            nonzero = rest != 0
-            positions[nonzero] = np.log2(lsb[nonzero].astype(np.float64)).astype(
-                np.int64
-            )
-            np.minimum(positions, bitmap_length - 1, out=positions)
-            slots = np.unique(
-                buckets.astype(np.int64) * bitmap_length + positions
-            )
-            for slot in slots.tolist():
-                bitmaps[slot // bitmap_length] |= 1 << (slot % bitmap_length)
+        row = hash_sketch_rows(
+            id_array,
+            (0, id_array.size),
+            num_bitmaps=num_bitmaps,
+            bitmap_length=bitmap_length,
+            seed=seed,
+        )[0]
+        if bitmap_length <= 64:
+            bitmaps = row.tolist()
+        else:
+            words = row.astype("<u8").reshape(num_bitmaps, -1)
+            bitmaps = [int.from_bytes(bitmap.tobytes(), "little") for bitmap in words]
         return cls(num_bitmaps, bitmap_length, seed, bitmaps)
 
     def empty_like(self) -> "HashSketch":

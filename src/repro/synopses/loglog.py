@@ -35,10 +35,11 @@ from .base import (
     SetSynopsis,
     UnsupportedOperationError,
 )
-from .hashing import uniform_hash
+from .hashing import ids_to_uint64_array, segment_layout, uniform_hash_array
 
 __all__ = [
     "LogLogCounter",
+    "loglog_rows",
     "LOGLOG_ALPHA",
     "REGISTER_BITS",
     "cardinality_from_register_stats",
@@ -129,6 +130,44 @@ def pack_register_rows(
     return rows
 
 
+def loglog_rows(
+    ids: Iterable[int] | np.ndarray,
+    offsets: Sequence[int] | np.ndarray,
+    *,
+    num_buckets: int,
+    seed: int,
+) -> np.ndarray:
+    """LogLog counters of many id sets, one ``uint8`` register row per set.
+
+    ``ids`` concatenates the sets and ``offsets`` bounds them (set ``s``
+    is ``ids[offsets[s]:offsets[s + 1]]``).  Each id's hash
+    ``h = uniform_hash(id, seed)`` selects bucket ``h % m``; the 1-based
+    rank of the first 1-bit of ``h // m`` (the register maximum when
+    that is 0, and never above it) raises that bucket's register.  The
+    whole batch is hashed once and the ranks are max-scattered into the
+    rows, so row ``s`` equals :func:`pack_register_row` of set ``s``'s
+    counter.
+    """
+    if num_buckets <= 0:
+        raise ValueError(f"num_buckets must be positive, got {num_buckets}")
+    id_array = ids_to_uint64_array(ids)
+    bounds, segment = segment_layout(offsets, id_array.size)
+    rows = np.zeros((bounds.size - 1, num_buckets), dtype=np.uint8)
+    if id_array.size:
+        hashed = uniform_hash_array(id_array, seed)
+        buckets = (hashed % np.uint64(num_buckets)).astype(np.int64)
+        rest = hashed // np.uint64(num_buckets)
+        # rest & (-rest) isolates the lowest set bit 2^p (exact in
+        # float64); frexp's exponent of it is the 1-based rank p + 1, and 0
+        # when rest is 0.
+        _, rank = np.frexp((rest & (np.uint64(0) - rest)).astype(np.float64))
+        rho = np.where(rank == 0, _MAX_RHO, np.minimum(rank, _MAX_RHO))
+        np.maximum.at(
+            rows.reshape(-1), segment * num_buckets + buckets, rho.astype(np.uint8)
+        )
+    return rows
+
+
 class LogLogCounter(SetSynopsis):
     """Immutable (super-)LogLog cardinality sketch."""
 
@@ -166,20 +205,14 @@ class LogLogCounter(SetSynopsis):
 
         Each element's hash selects a bucket; the rank of the first 1-bit
         of the remaining hash bits (1-based, as in the original paper)
-        updates that bucket's max register.
+        updates that bucket's max register.  The one-set case of
+        :func:`loglog_rows`, unpacked to the register tuple.
         """
-        registers = [0] * num_buckets
-        for doc_id in ids:
-            h = uniform_hash(doc_id, seed)
-            bucket = h % num_buckets
-            rest = h // num_buckets
-            if rest == 0:
-                rho = _MAX_RHO
-            else:
-                rho = min(_MAX_RHO, ((rest & -rest).bit_length()))
-            if rho > registers[bucket]:
-                registers[bucket] = rho
-        return cls(num_buckets, seed, registers)
+        id_array = ids_to_uint64_array(ids)
+        row = loglog_rows(
+            id_array, (0, id_array.size), num_buckets=num_buckets, seed=seed
+        )[0]
+        return cls(num_buckets, seed, row.tolist())
 
     def empty_like(self) -> "LogLogCounter":
         return LogLogCounter(self._num_buckets, self._seed)

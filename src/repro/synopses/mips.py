@@ -35,15 +35,22 @@ of the position-wise ``min``.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .base import IncompatibleSynopsesError, SetSynopsis
-from .hashing import LinearHashFamily, ids_to_uint64_array
+from .hashing import (
+    LinearHashFamily,
+    ids_to_uint64_array,
+    segment_layout,
+    splitmix64_array,
+)
 
 __all__ = [
     "MinWisePermutations",
+    "mips_rows",
     "MIPS_MODULUS",
     "BITS_PER_POSITION",
     "pack_minima_row",
@@ -59,6 +66,11 @@ MIPS_MODULUS = (1 << 31) - 1
 BITS_PER_POSITION = 32
 
 _FAMILY_CACHE: dict[int, LinearHashFamily] = {}
+
+#: Permuted values :func:`mips_rows` holds at once (8 bytes each): the
+#: permutations are applied a block at a time so a large batch never
+#: materializes its whole ``(N, n)`` matrix.
+_PERMUTED_BLOCK = 1 << 20
 
 
 def _family(seed: int) -> LinearHashFamily:
@@ -111,11 +123,61 @@ def batch_match_counts(rows: np.ndarray, reference_row: np.ndarray) -> np.ndarra
 
 def _scramble_to_31_bits(ids: np.ndarray) -> np.ndarray:
     """SplitMix64-mix ``ids`` (uint64) and keep the top 31 bits."""
-    x = ids + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return x >> np.uint64(33)
+    return splitmix64_array(ids) >> np.uint64(33)
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficients(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` of the seed family's first ``count`` permutations as
+    read-only ``uint64`` columns (shape ``(count, 1)``)."""
+    permutations = _family(seed).permutations(count)
+    coeff_a = np.array([[p.a] for p in permutations], dtype=np.uint64)
+    coeff_b = np.array([[p.b] for p in permutations], dtype=np.uint64)
+    coeff_a.flags.writeable = False
+    coeff_b.flags.writeable = False
+    return coeff_a, coeff_b
+
+
+def mips_rows(
+    ids: Iterable[int] | np.ndarray,
+    offsets: Sequence[int] | np.ndarray,
+    *,
+    num_permutations: int,
+    seed: int,
+) -> np.ndarray:
+    """MIPs vectors of many id sets, one ``int64`` minima row per set.
+
+    ``ids`` concatenates the sets and ``offsets`` bounds them (set ``s``
+    is ``ids[offsets[s]:offsets[s + 1]]``).  Every id is scrambled to 31
+    bits once; permutation ``i`` of the seed's family maps the keys and
+    ``minimum.reduceat`` takes each set's minimum.  Empty sets keep the
+    all-sentinel row (``reduceat`` would return the value at an empty
+    segment's start), so row ``s`` equals :func:`pack_minima_row` of the
+    vector of set ``s``.
+    """
+    if num_permutations <= 0:
+        raise ValueError(
+            f"num_permutations must be positive, got {num_permutations}"
+        )
+    id_array = ids_to_uint64_array(ids)
+    bounds, _ = segment_layout(offsets, id_array.size)
+    starts = bounds[:-1]
+    filled = bounds[1:] > starts
+    rows = np.full((starts.size, num_permutations), MIPS_MODULUS, dtype=np.int64)
+    if id_array.size == 0:
+        return rows
+    keys = _scramble_to_31_bits(id_array)
+    coeff_a, coeff_b = _coefficients(seed, num_permutations)
+    firsts = starts[filled]
+    step = max(1, _PERMUTED_BLOCK // id_array.size)
+    for low in range(0, num_permutations, step):
+        high = min(num_permutations, low + step)
+        # (N, n) permuted values; a * key < 2^62, so they are exact in uint64.
+        permuted = (coeff_a[low:high] * keys + coeff_b[low:high]) % np.uint64(
+            MIPS_MODULUS
+        )
+        rows[filled, low:high] = np.minimum.reduceat(permuted, firsts, axis=1).T
+    return rows
 
 
 class MinWisePermutations(SetSynopsis):
@@ -143,23 +205,19 @@ class MinWisePermutations(SetSynopsis):
         num_permutations: int = 64,
         seed: int = 0,
     ) -> "MinWisePermutations":
-        """Build a MIPs vector over ``ids`` with ``num_permutations`` hashes."""
-        if num_permutations <= 0:
-            raise ValueError(
-                f"num_permutations must be positive, got {num_permutations}"
-            )
+        """Build a MIPs vector over ``ids`` with ``num_permutations`` hashes.
+
+        The one-set case of :func:`mips_rows`, unpacked to the tuple of
+        minima.
+        """
         id_array = ids_to_uint64_array(ids)
-        if id_array.size == 0:
-            return cls([MIPS_MODULUS] * num_permutations, seed)
-        keys = _scramble_to_31_bits(id_array)
-        permutations = _family(seed).permutations(num_permutations)
-        coeff_a = np.array([p.a for p in permutations], dtype=np.uint64)
-        coeff_b = np.array([p.b for p in permutations], dtype=np.uint64)
-        # (N, n) matrix of permuted values; a*key < 2^62 so uint64 is exact.
-        permuted = (coeff_a[:, None] * keys[None, :] + coeff_b[:, None]) % np.uint64(
-            MIPS_MODULUS
-        )
-        return cls(permuted.min(axis=1).tolist(), seed)
+        row = mips_rows(
+            id_array,
+            (0, id_array.size),
+            num_permutations=num_permutations,
+            seed=seed,
+        )[0]
+        return cls(row.tolist(), seed)
 
     def empty_like(self) -> "MinWisePermutations":
         return MinWisePermutations([MIPS_MODULUS] * len(self._minima), self._seed)

@@ -38,11 +38,12 @@ IN_SCOPE = {
     "RPRL006": "src/repro/experiments/sweep.py",
     "RPRL007": "src/repro/churn/membership.py",
     "RPRL008": "src/repro/synopses/columnstore.py",
+    "RPRL009": "tests/synopses/test_props.py",
 }
 
 
 class TestRegistry:
-    def test_eight_rules_plus_stable_ids(self):
+    def test_registered_rules_have_stable_ids(self):
         assert rule_ids() == [
             "RPRL001",
             "RPRL002",
@@ -52,6 +53,7 @@ class TestRegistry:
             "RPRL006",
             "RPRL007",
             "RPRL008",
+            "RPRL009",
         ]
 
     def test_every_rule_documents_itself(self):
@@ -750,3 +752,95 @@ class TestFindingFormat:
         assert payload["rule"] == "RPRL004"
         assert payload["path"] == IN_SCOPE["RPRL004"]
         assert payload["line"] == finding.line
+
+
+class TestHypothesisStaysDeterministic:
+    """RPRL009 — scope tests/."""
+
+    def test_derandomize_false_fires(self):
+        source = """
+            from hypothesis import given, settings, strategies as st
+
+            @settings(derandomize=False)
+            @given(st.integers())
+            def test_roundtrip(value):
+                assert value == value
+            """
+        findings = lint(source, IN_SCOPE["RPRL009"], only="RPRL009")
+        assert ids(findings) == ["RPRL009"]
+        assert "derandomize" in findings[0].message
+        assert findings[0].line == 4
+
+    def test_non_none_database_fires(self):
+        source = """
+            import hypothesis
+            from hypothesis.database import InMemoryExampleDatabase
+
+            @hypothesis.settings(database=InMemoryExampleDatabase())
+            def test_it():
+                pass
+            """
+        findings = lint(source, IN_SCOPE["RPRL009"], only="RPRL009")
+        assert ids(findings) == ["RPRL009"]
+        assert "database" in findings[0].message
+
+    def test_profile_calls_outside_the_root_conftest_fire(self):
+        source = """
+            from hypothesis import settings as hs
+
+            hs.register_profile("fast", max_examples=5)
+            hs.load_profile("fast")
+            """
+        for path in (IN_SCOPE["RPRL009"], "tests/reprolint/conftest.py"):
+            findings = lint(source, path, only="RPRL009")
+            assert ids(findings) == ["RPRL009", "RPRL009"]
+            assert {f.line for f in findings} == {4, 5}
+
+    def test_root_conftest_may_define_and_load_profiles(self):
+        source = """
+            import os
+            from hypothesis import settings
+
+            settings.register_profile(
+                "deterministic", derandomize=True, database=None, deadline=None
+            )
+            settings.register_profile("explore", deadline=None)
+            settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
+            """
+        assert lint(source, "tests/conftest.py", only="RPRL009") == []
+
+    def test_deterministic_settings_are_clean(self):
+        source = """
+            from hypothesis import given, settings, strategies as st
+
+            @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+            @given(st.integers())
+            def test_roundtrip(value):
+                assert value == value
+            """
+        assert lint(source, IN_SCOPE["RPRL009"], only="RPRL009") == []
+
+    def test_unrelated_settings_name_is_ignored(self):
+        source = """
+            from myproject import settings
+
+            settings(derandomize=False, database="db")
+            settings.load_profile("x")
+            """
+        assert lint(source, IN_SCOPE["RPRL009"], only="RPRL009") == []
+
+    def test_out_of_scope_path_is_ignored(self):
+        source = """
+            from hypothesis import settings
+
+            settings.load_profile("explore")
+            """
+        assert lint(source, "benchmarks/bench_props.py", only="RPRL009") == []
+
+    def test_inline_suppression(self):
+        source = """
+            from hypothesis import settings
+
+            settings.load_profile("explore")  # reprolint: disable=RPRL009
+            """
+        assert lint(source, IN_SCOPE["RPRL009"], only="RPRL009") == []

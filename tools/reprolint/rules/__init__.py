@@ -13,6 +13,7 @@ RPRL005     public-api-hygiene (``__all__``)               ``src/repro``
 RPRL006     worker-entrypoints-take-seed                   ``src/repro``
 RPRL007     churn-on-virtual-clock                         ``repro/churn``
 RPRL008     columnar-stays-packed                          ``repro/synopses/columnstore``, ``repro/core/fastpath``
+RPRL009     hypothesis-stays-deterministic                 ``tests/``
 ==========  =============================================  ==========================
 """
 
@@ -26,6 +27,7 @@ from .api import PublicApiHygiene
 from .workers import WorkerEntrypointsTakeSeed
 from .churn import ChurnOnVirtualClock
 from .columnar import ColumnarStaysPacked
+from .hypothesis_profile import HypothesisStaysDeterministic
 
 __all__ = [
     "MutatingMethodMustInvalidateCache",
@@ -36,4 +38,5 @@ __all__ = [
     "WorkerEntrypointsTakeSeed",
     "ChurnOnVirtualClock",
     "ColumnarStaysPacked",
+    "HypothesisStaysDeterministic",
 ]
