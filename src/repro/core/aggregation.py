@@ -101,7 +101,7 @@ class PerPeerAggregation(AggregationStrategy):
             seed_ids = context.initiator.result_doc_ids
         return PerPeerState(
             context=context,
-            reference=context.spec.build(seed_ids),
+            reference=context.seed_synopsis(seed_ids),
             reference_cardinality=float(len(seed_ids)),
             combined_cache={},
         )
@@ -177,9 +177,6 @@ class PerPeerAggregation(AggregationStrategy):
 
     # -- strategy interface ----------------------------------------------------
 
-    # Backwards-compatible alias for the pre-fast-path private name.
-    _combine = combine
-
     def novelty(self, state: PerPeerState, candidate: CandidatePeer) -> float:
         combined, cardinality = self.combine(state, candidate)
         if combined is None or cardinality <= 0.0:
@@ -232,7 +229,7 @@ class PerTermAggregation(AggregationStrategy):
             local_lists = context.initiator.doc_ids_by_term
         for term in context.query.terms:
             seed = local_lists.get(term, frozenset())
-            references[term] = context.spec.build(seed)
+            references[term] = context.seed_synopsis(seed)
             cardinalities[term] = float(len(seed))
         return PerTermState(
             context=context,

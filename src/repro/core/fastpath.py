@@ -20,15 +20,21 @@ no NumPy transcendental (whose libm may differ by ULPs) ever touches
 the value path.  The next peer is the argmax of ``quality * novelty``
 with the naive loop's tie-breaks (quality, then peer id).
 
-The driver runs the *same* aggregation state objects as the naive loop
-(via ``start``/``absorb``), so reference synopses and cardinalities
-evolve identically and stopping criteria see identical inputs.
+Aggregate-Synopses runs on packed rows too.  The reference is seeded
+once from the strategy's ``start``; after each pick the driver folds the
+winner's row into each kernel's reference row with the family's
+``union`` (``bitwise_or``, ``minimum`` or ``maximum``) and adds the
+kernel's own novelty of the winner to the reference cardinality — the
+value the naive ``absorb`` recomputes — so references, cardinalities
+and the coverage stopping criteria read all evolve exactly as in the
+naive loop, with no synopsis object or ``Post`` between ``start`` and
+the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence, overload
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -76,9 +82,6 @@ from ..synopses.mips import (
 from .aggregation import PerPeerAggregation, PerTermAggregation
 from .stopping import StoppingCriterion
 
-if TYPE_CHECKING:  # annotation-only — a runtime import would be cyclic
-    from ..minerva.posts import Post
-
 __all__ = [
     "RoutingStats",
     "FastPathUnsupported",
@@ -96,11 +99,13 @@ class RoutingStats:
     """Counters surfaced by :class:`~repro.core.iqn.IQNRouter`.
 
     ``novelty_evaluations`` counts per-candidate synopsis-level novelty
-    computations actually performed (initial batch, affected-row
-    refreshes, and the absorb-time recompute inside the aggregation
-    strategy).  ``naive_evaluations`` is what the naive loop would have
-    spent on the same plan — the sum of remaining-candidate counts over
-    rounds — so ``naive_evaluations / novelty_evaluations`` is the
+    computations: the initial batch, affected-row refreshes, and one per
+    round for the winner's gain that Aggregate-Synopses adds to the
+    reference cardinality.  The naive ``absorb`` recomputes that gain;
+    the kernels reuse the value they scored the winner with, and count
+    it all the same.  ``naive_evaluations`` is what the naive loop would
+    have spent on the same plan — the sum of remaining-candidate counts
+    over rounds — so ``naive_evaluations / novelty_evaluations`` is the
     measured savings factor; the fast path never exceeds
     ``naive_evaluations + rounds``.
 
@@ -135,9 +140,29 @@ class RoutingStats:
 # parameters, heterogeneous MIPs lengths, >64-bit sketch bitmaps); the
 # router then falls back to the naive loop, which handles — or raises
 # on — those cases with the reference semantics.
+#
+# Row ``i`` of a kernel's matrix is what Aggregate-Synopses unions into
+# the reference when candidate ``i`` wins: its synopsis even when the
+# candidate is inactive (zero cardinality, which the naive absorb still
+# unions in after a zero-score tie), the neutral payload when there is
+# nothing to union.  Every statistic is masked by ``active``, so
+# inactive rows never reach a score.
 
 
-class _BloomColumn:
+class _Kernel:
+    """What every family kernel shares: the packed-row absorb."""
+
+    #: The family's ``union`` on packed rows (Aggregate-Synopses).
+    union: np.ufunc
+    _rows: np.ndarray
+    _reference_row: np.ndarray
+
+    def absorbed(self, best: int) -> np.ndarray:
+        """The reference row with candidate ``best``'s row folded in."""
+        return self.union(self._reference_row, self._rows[best])
+
+
+class _BloomColumn(_Kernel):
     """Packed-bit Bloom novelty kernel.
 
     Operates on an already-packed ``(C, words)`` uint64 bit-matrix —
@@ -145,6 +170,8 @@ class _BloomColumn:
     from per-peer objects via :meth:`from_objects` — and caches every
     row's popcount of ``row AND NOT reference``.
     """
+
+    union = np.bitwise_or
 
     def __init__(
         self,
@@ -177,8 +204,8 @@ class _BloomColumn:
             raise FastPathUnsupported("reference is not a plain BloomFilter")
         params = (reference.num_bits, reference.num_hashes, reference.seed)
         bits: list[int] = []
-        for synopsis, ok in zip(synopses, active):
-            if not ok:
+        for synopsis in synopses:
+            if synopsis is None:
                 bits.append(0)
                 continue
             if type(synopsis) is not BloomFilter or (
@@ -192,8 +219,7 @@ class _BloomColumn:
             pack_bit_rows(bits, reference.num_bits), cards, active, reference
         )
 
-    def refresh_reference(self, reference: Any) -> np.ndarray:
-        new_row = pack_bit_row(reference.raw_bits, self._m)
+    def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         # A row's difference popcount can only move where it has a bit
         # the reference flipped.  Absorbs only union bits in, so the
         # flipped bits are exactly the added ones.
@@ -214,8 +240,10 @@ class _BloomColumn:
         return novelty
 
 
-class _MipsColumn:
+class _MipsColumn(_Kernel):
     """Minima-matrix MIPs novelty kernel."""
+
+    union = np.minimum
 
     def __init__(
         self,
@@ -247,22 +275,16 @@ class _MipsColumn:
         if type(reference) is not MinWisePermutations:
             raise FastPathUnsupported("reference is not a plain MIPs synopsis")
         length = reference.num_permutations
-        packable: list[MinWisePermutations | None] = []
-        for synopsis, ok in zip(synopses, active):
-            if not ok:
-                packable.append(None)
-                continue
-            if (
+        for synopsis in synopses:
+            if synopsis is not None and (
                 type(synopsis) is not MinWisePermutations
                 or synopsis.seed != reference.seed
                 or synopsis.num_permutations != length
             ):
                 raise FastPathUnsupported("heterogeneous MIPs vectors")
-            packable.append(synopsis)
-        return cls(pack_minima_rows(packable, length), cards, active, reference)
+        return cls(pack_minima_rows(synopses, length), cards, active, reference)
 
-    def refresh_reference(self, reference: Any) -> np.ndarray:
-        new_row = pack_minima_row(reference)
+    def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         changed = np.nonzero(new_row != self._reference_row)[0]
         if changed.size == 0:
             return np.zeros(len(self._rows), dtype=bool)
@@ -307,8 +329,10 @@ class _MipsColumn:
         return novelty
 
 
-class _HashSketchColumn:
+class _HashSketchColumn(_Kernel):
     """First-zero-position hash-sketch kernel."""
+
+    union = np.bitwise_or
 
     def __init__(
         self,
@@ -349,27 +373,25 @@ class _HashSketchColumn:
         if reference.bitmap_length > 64:
             raise FastPathUnsupported("sketch bitmaps exceed one machine word")
         params = (reference.num_bitmaps, reference.bitmap_length, reference.seed)
-        packable: list[HashSketch | None] = []
-        for synopsis, ok in zip(synopses, active):
-            if not ok:
-                packable.append(None)
-                continue
-            if type(synopsis) is not HashSketch or (
-                synopsis.num_bitmaps,
-                synopsis.bitmap_length,
-                synopsis.seed,
-            ) != params:
+        for synopsis in synopses:
+            if synopsis is not None and (
+                type(synopsis) is not HashSketch
+                or (
+                    synopsis.num_bitmaps,
+                    synopsis.bitmap_length,
+                    synopsis.seed,
+                )
+                != params
+            ):
                 raise FastPathUnsupported("heterogeneous hash-sketch parameters")
-            packable.append(synopsis)
         return cls(
-            pack_bitmap_rows(packable, reference.num_bitmaps),
+            pack_bitmap_rows(synopses, reference.num_bitmaps),
             cards,
             active,
             reference,
         )
 
-    def refresh_reference(self, reference: Any) -> np.ndarray:
-        new_row = pack_bitmap_row(reference)
+    def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         touched = np.zeros(len(self._rows), dtype=bool)
         changed = np.nonzero(new_row != self._reference_row)[0]
         for bucket in changed.tolist():
@@ -405,8 +427,10 @@ class _HashSketchColumn:
         return novelty
 
 
-class _LogLogColumn:
+class _LogLogColumn(_Kernel):
     """Merged-register LogLog kernel."""
+
+    union = np.maximum
 
     def __init__(
         self,
@@ -418,6 +442,7 @@ class _LogLogColumn:
         if type(reference) is not LogLogCounter:
             raise FastPathUnsupported("reference is not a plain LogLogCounter")
         buckets = reference.num_buckets
+        self._rows = rows
         self._reference_row = pack_register_row(reference)
         self._merged = np.maximum(rows, self._reference_row)
         self._zero_counts = (self._merged == 0).sum(axis=1)
@@ -442,22 +467,16 @@ class _LogLogColumn:
         if type(reference) is not LogLogCounter:
             raise FastPathUnsupported("reference is not a plain LogLogCounter")
         buckets = reference.num_buckets
-        packable: list[LogLogCounter | None] = []
-        for synopsis, ok in zip(synopses, active):
-            if not ok:
-                packable.append(None)
-                continue
-            if (
+        for synopsis in synopses:
+            if synopsis is not None and (
                 type(synopsis) is not LogLogCounter
                 or synopsis.seed != reference.seed
                 or synopsis.num_buckets != buckets
             ):
                 raise FastPathUnsupported("heterogeneous LogLog parameters")
-            packable.append(synopsis)
-        return cls(pack_register_rows(packable, buckets), cards, active, reference)
+        return cls(pack_register_rows(synopses, buckets), cards, active, reference)
 
-    def refresh_reference(self, reference: Any) -> np.ndarray:
-        new_row = pack_register_row(reference)
+    def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         touched = np.zeros(len(self._merged), dtype=bool)
         changed = np.nonzero(new_row > self._reference_row)[0]
         for bucket in changed.tolist():
@@ -510,97 +529,68 @@ def _make_column(
 
 
 # -- strategy adapters -------------------------------------------------------
+#
+# An adapter seeds the family kernels from the strategy's ``start`` and
+# returns them with their reference cardinalities, one per kernel, in
+# the order the strategy's coverage sums them.  From there on the
+# driver owns the reference: packed rows plus these floats.
 
 
-class _PerPeerAdapter:
+def _per_peer_objects(
+    aggregation: PerPeerAggregation,
+    context: RoutingContext,
+    candidates: list[CandidatePeer],
+) -> tuple[list[Any], list[float]]:
     """Single column over per-candidate combined query synopses."""
+    state = aggregation.start(context)
+    synopses: list[Any] = []
+    cards: list[float] = []
+    active: list[bool] = []
+    for candidate in candidates:
+        combined, cardinality = aggregation.combine(state, candidate)
+        ok = combined is not None and cardinality > 0.0
+        synopses.append(combined)
+        cards.append(cardinality if ok else 0.0)
+        active.append(ok)
+    column = _make_column(
+        synopses, cards, np.asarray(active, dtype=bool), state.reference
+    )
+    return [column], [state.reference_cardinality]
 
-    def __init__(
-        self,
-        aggregation: PerPeerAggregation,
-        context: RoutingContext,
-        candidates: list[CandidatePeer],
-    ) -> None:
-        self.aggregation = aggregation
-        self.state = aggregation.start(context)
+
+def _per_term_objects(
+    aggregation: PerTermAggregation,
+    context: RoutingContext,
+    candidates: list[CandidatePeer],
+) -> tuple[list[Any], list[float]]:
+    """One column per query term over the posted term synopses."""
+    state = aggregation.start(context)
+    columns: list[Any] = []
+    for term in context.query.terms:
         synopses: list[Any] = []
         cards: list[float] = []
         active: list[bool] = []
         for candidate in candidates:
-            combined, cardinality = aggregation.combine(self.state, candidate)
-            ok = combined is not None and cardinality > 0.0
-            synopses.append(combined if ok else None)
-            cards.append(cardinality if ok else 0.0)
+            post = candidate.post(term)
+            synopsis = None if post is None else post.synopsis
+            cdf = 0 if post is None else post.cdf
+            ok = synopsis is not None and cdf != 0
+            synopses.append(synopsis)
+            cards.append(float(cdf) if ok else 0.0)
             active.append(ok)
         if any(card < 0.0 for card in cards):
             raise FastPathUnsupported("negative candidate cardinality")
-        active_mask = np.asarray(active, dtype=bool)
-        self.columns = [
-            _make_column(synopses, cards, active_mask, self.state.reference)
-        ]
-
-    def references(self) -> list[Any]:
-        return [self.state.reference]
-
-    def reference_cardinalities(self) -> list[float]:
-        return [self.state.reference_cardinality]
-
-    def absorb(self, candidate: CandidatePeer) -> None:
-        self.aggregation.absorb(self.state, candidate)
-
-    def coverage(self) -> float:
-        return self.aggregation.estimated_coverage(self.state)
-
-
-class _PerTermAdapter:
-    """One column per query term over the posted term synopses."""
-
-    def __init__(
-        self,
-        aggregation: PerTermAggregation,
-        context: RoutingContext,
-        candidates: list[CandidatePeer],
-    ) -> None:
-        self.aggregation = aggregation
-        self.state = aggregation.start(context)
-        self.terms = list(context.query.terms)
-        self.columns: list[Any] = []
-        for term in self.terms:
-            synopses: list[Any] = []
-            cards: list[float] = []
-            active: list[bool] = []
-            for candidate in candidates:
-                post = candidate.post(term)
-                ok = (
-                    post is not None
-                    and post.synopsis is not None
-                    and post.cdf != 0
-                )
-                synopses.append(post.synopsis if ok else None)
-                cards.append(float(post.cdf) if ok else 0.0)
-                active.append(ok)
-            if any(card < 0.0 for card in cards):
-                raise FastPathUnsupported("negative candidate cardinality")
-            self.columns.append(
-                _make_column(
-                    synopses,
-                    cards,
-                    np.asarray(active, dtype=bool),
-                    self.state.references[term],
-                )
+        columns.append(
+            _make_column(
+                synopses,
+                cards,
+                np.asarray(active, dtype=bool),
+                state.references[term],
             )
-
-    def references(self) -> list[Any]:
-        return [self.state.references[term] for term in self.terms]
-
-    def reference_cardinalities(self) -> list[float]:
-        return [self.state.reference_cardinalities[term] for term in self.terms]
-
-    def absorb(self, candidate: CandidatePeer) -> None:
-        self.aggregation.absorb(self.state, candidate)
-
-    def coverage(self) -> float:
-        return self.aggregation.estimated_coverage(self.state)
+        )
+    return columns, [
+        state.reference_cardinalities[term] for term in context.query.terms
+    ]
 
 
 # -- columnar attach ---------------------------------------------------------
@@ -610,8 +600,8 @@ class _PerTermAdapter:
 # slices of the stored matrices instead of re-packing per-peer objects:
 # packing is an ingest-time cost, amortized across queries.  Everything
 # below reproduces the object adapters bit-for-bit — the gathered
-# matrices equal what from_objects would have packed (absent/inactive
-# rows are the family's neutral payload), the cardinality clamps run the
+# matrices equal what from_objects would have packed (rows with nothing
+# to absorb are the family's neutral payload), the cardinality clamps run the
 # same float operations in the same association, and the shared driver
 # then sees identical inputs.
 
@@ -666,14 +656,10 @@ def _term_matrix(
 
 def _fold_disjunctive(mats: list[np.ndarray], reference: Any) -> np.ndarray:
     """Row-wise union fold; the neutral payload is the fold identity."""
+    union = _COLUMN_TYPES[type(reference)].union
     combined = mats[0]
     for mat in mats[1:]:
-        if type(reference) is MinWisePermutations:
-            np.minimum(combined, mat, out=combined)
-        elif type(reference) is LogLogCounter:
-            np.maximum(combined, mat, out=combined)
-        else:  # BloomFilter / HashSketch: bitwise union
-            np.bitwise_or(combined, mat, out=combined)
+        union(combined, mat, out=combined)
     return combined
 
 
@@ -805,154 +791,85 @@ def _combined_cardinalities(
     )
 
 
-class _ColumnPerPeerAdapter:
+def _per_peer_columns(
+    aggregation: PerPeerAggregation,
+    context: RoutingContext,
+    view: ColumnContextView,
+) -> tuple[list[Any], list[float]]:
     """Per-peer aggregation attached to stored columns (zero repacking)."""
-
-    def __init__(
-        self,
-        aggregation: PerPeerAggregation,
-        context: RoutingContext,
-        view: ColumnContextView,
-    ) -> None:
-        self.aggregation = aggregation
-        self.state = aggregation.start(context)
-        reference = self.state.reference
-        store_cls, params = _store_params(reference)
-        kernel_cls = _COLUMN_TYPES[type(reference)]
-        count = view.count
-        mats: list[np.ndarray] = []
-        syn_count = np.zeros(count, dtype=np.int64)
-        conj_ok = np.ones(count, dtype=bool) if context.conjunctive else None
-        for gather in view.gathers:
-            mats.append(
-                _term_matrix(
-                    gather.columns.synopsis_column,
-                    gather.rows,
-                    gather.has_synopsis,
-                    store_cls,
-                    params,
-                    count,
-                )
-            )
-            syn_count += gather.has_synopsis
-            if conj_ok is not None:
-                conj_ok &= gather.has_post & gather.has_synopsis
-        if context.conjunctive:
-            combined = _fold_conjunctive(
-                mats, reference, aggregation.crude_conjunctive_fallback
-            )
-        else:
-            combined = _fold_disjunctive(mats, reference)
-        cards = _combined_cardinalities(
-            view, combined, reference, context.conjunctive
-        )
-        if bool(np.any(cards < 0.0)):
-            raise FastPathUnsupported("negative candidate cardinality")
-        active = (syn_count > 0) & (cards > 0.0)
-        if conj_ok is not None:
-            active &= conj_ok
-        cards = np.where(active, cards, 0.0)
-        # Inactive rows must hold the neutral payload — exactly how the
-        # object path packs candidates that cannot contribute.
-        combined[~active] = store_cls.neutral
-        self.columns = [kernel_cls(combined, cards, active, reference)]
-
-    def references(self) -> list[Any]:
-        return [self.state.reference]
-
-    def reference_cardinalities(self) -> list[float]:
-        return [self.state.reference_cardinality]
-
-    def absorb(self, candidate: CandidatePeer) -> None:
-        self.aggregation.absorb(self.state, candidate)
-
-    def coverage(self) -> float:
-        return self.aggregation.estimated_coverage(self.state)
-
-
-class _ColumnPerTermAdapter:
-    """Per-term aggregation attached to stored columns (zero repacking)."""
-
-    def __init__(
-        self,
-        aggregation: PerTermAggregation,
-        context: RoutingContext,
-        view: ColumnContextView,
-    ) -> None:
-        self.aggregation = aggregation
-        self.state = aggregation.start(context)
-        self.terms = list(context.query.terms)
-        self.columns: list[Any] = []
-        for gather in view.gathers:
-            reference = self.state.references[gather.term]
-            store_cls, params = _store_params(reference)
-            kernel_cls = _COLUMN_TYPES[type(reference)]
-            active = gather.has_synopsis & (gather.cdf != 0)
-            matrix = _term_matrix(
+    state = aggregation.start(context)
+    reference = state.reference
+    store_cls, params = _store_params(reference)
+    kernel_cls = _COLUMN_TYPES[type(reference)]
+    count = view.count
+    mats: list[np.ndarray] = []
+    syn_count = np.zeros(count, dtype=np.int64)
+    conj_ok = np.ones(count, dtype=bool) if context.conjunctive else None
+    for gather in view.gathers:
+        mats.append(
+            _term_matrix(
                 gather.columns.synopsis_column,
                 gather.rows,
-                active,
+                gather.has_synopsis,
                 store_cls,
                 params,
-                view.count,
+                count,
             )
-            cards = np.where(active, gather.cdf.astype(np.float64), 0.0)
-            self.columns.append(kernel_cls(matrix, cards, active, reference))
+        )
+        syn_count += gather.has_synopsis
+        if conj_ok is not None:
+            conj_ok &= gather.has_post & gather.has_synopsis
+    if context.conjunctive:
+        combined = _fold_conjunctive(
+            mats, reference, aggregation.crude_conjunctive_fallback
+        )
+    else:
+        combined = _fold_disjunctive(mats, reference)
+    cards = _combined_cardinalities(
+        view, combined, reference, context.conjunctive
+    )
+    if bool(np.any(cards < 0.0)):
+        raise FastPathUnsupported("negative candidate cardinality")
+    active = (syn_count > 0) & (cards > 0.0)
+    if conj_ok is not None:
+        active &= conj_ok
+        # A conjunctive candidate missing a term's synopsis combines to
+        # nothing, so it must absorb as the neutral payload.
+        combined[~conj_ok] = store_cls.neutral
+    cards = np.where(active, cards, 0.0)
+    return [kernel_cls(combined, cards, active, reference)], [
+        state.reference_cardinality
+    ]
 
-    def references(self) -> list[Any]:
-        return [self.state.references[term] for term in self.terms]
 
-    def reference_cardinalities(self) -> list[float]:
-        return [self.state.reference_cardinalities[term] for term in self.terms]
-
-    def absorb(self, candidate: CandidatePeer) -> None:
-        self.aggregation.absorb(self.state, candidate)
-
-    def coverage(self) -> float:
-        return self.aggregation.estimated_coverage(self.state)
-
-
-class _LazyCandidates(Sequence[CandidatePeer]):
-    """Candidate views materialized only when a driver touches one.
-
-    The driver needs a :class:`CandidatePeer` only for *selected* peers
-    (the absorb step) — building all C up front would reinstate the
-    per-peer assembly cost the columnar view exists to avoid.
-    """
-
-    def __init__(self, view: ColumnContextView) -> None:
-        self._view = view
-        self._cache: dict[int, CandidatePeer] = {}
-
-    def __len__(self) -> int:
-        return self._view.count
-
-    @overload
-    def __getitem__(self, index: int) -> CandidatePeer: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> Sequence[CandidatePeer]: ...
-
-    def __getitem__(
-        self, index: int | slice
-    ) -> CandidatePeer | Sequence[CandidatePeer]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        cached = self._cache.get(index)
-        if cached is None:
-            cached = self._materialize(index)
-            self._cache[index] = cached
-        return cached
-
-    def _materialize(self, index: int) -> CandidatePeer:
-        context = self._view.context
-        peer_id = self._view.peer_names[index]
-        posts: dict[str, Post] = {}
-        for term in context.query.terms:
-            post = context.peer_lists[term].get(peer_id)
-            if post is not None:
-                posts[term] = post
-        return CandidatePeer(peer_id=peer_id, posts=posts)
+def _per_term_columns(
+    aggregation: PerTermAggregation,
+    context: RoutingContext,
+    view: ColumnContextView,
+) -> tuple[list[Any], list[float]]:
+    """Per-term aggregation attached to stored columns (zero repacking)."""
+    state = aggregation.start(context)
+    columns: list[Any] = []
+    for gather in view.gathers:
+        reference = state.references[gather.term]
+        store_cls, params = _store_params(reference)
+        kernel_cls = _COLUMN_TYPES[type(reference)]
+        # Posts with a synopsis but ``cdf == 0`` score nothing, yet the
+        # naive absorb still unions their synopsis in.
+        active = gather.has_synopsis & (gather.cdf != 0)
+        matrix = _term_matrix(
+            gather.columns.synopsis_column,
+            gather.rows,
+            gather.has_synopsis,
+            store_cls,
+            params,
+            view.count,
+        )
+        cards = np.where(active, gather.cdf.astype(np.float64), 0.0)
+        columns.append(kernel_cls(matrix, cards, active, reference))
+    return columns, [
+        state.reference_cardinalities[term] for term in context.query.terms
+    ]
 
 
 def column_rank_detailed(
@@ -990,17 +907,16 @@ def column_rank_detailed(
         if quality_weighted
         else np.ones(view.count, dtype=np.float64)
     )
-    adapter: _ColumnPerPeerAdapter | _ColumnPerTermAdapter
     if aggregation_type is PerPeerAggregation:
-        adapter = _ColumnPerPeerAdapter(aggregation, context, view)
+        columns, cardinalities = _per_peer_columns(aggregation, context, view)
     else:
-        adapter = _ColumnPerTermAdapter(aggregation, context, view)
+        columns, cardinalities = _per_term_columns(aggregation, context, view)
     stats = RoutingStats(
         mode="incremental", candidates=view.count, attach="columns"
     )
     plan = _run_incremental(
-        adapter,
-        _LazyCandidates(view),
+        columns,
+        cardinalities,
         qualities_array,
         view.peer_names,
         stopping,
@@ -1011,15 +927,6 @@ def column_rank_detailed(
 
 
 # -- driver ------------------------------------------------------------------
-
-
-def _total_novelty(
-    columns: Sequence[Any], reference_cardinalities: Sequence[float]
-) -> np.ndarray:
-    total = columns[0].rescore(reference_cardinalities[0])
-    for column, cardinality in zip(columns[1:], reference_cardinalities[1:]):
-        total = total + column.rescore(cardinality)
-    return total
 
 
 def _argmax_with_ties(
@@ -1042,19 +949,19 @@ def _argmax_with_ties(
 
 
 def _run_incremental(
-    adapter: Any,
-    candidates: Sequence[CandidatePeer],
+    columns: list[Any],
+    reference_cardinalities: list[float],
     qualities_array: np.ndarray,
     peer_ids: list[str],
     stopping: StoppingCriterion,
     max_peers: int,
     stats: RoutingStats,
 ) -> list[tuple[str, float, float]]:
-    columns = adapter.columns
-    count = len(candidates)
+    count = len(peer_ids)
     alive = np.ones(count, dtype=bool)
     stats.novelty_evaluations += count
     plan: list[tuple[str, float, float]] = []
+    reference_rows: list[np.ndarray] = []
     while len(plan) < max_peers and alive.any():
         stats.rounds += 1
         stats.naive_evaluations += int(alive.sum())
@@ -1062,20 +969,31 @@ def _run_incremental(
             # Catch the kernels up with the previous round's absorb —
             # here rather than after it, so the last round pays nothing.
             touched = np.zeros(count, dtype=bool)
-            for column, reference in zip(columns, adapter.references()):
-                touched |= column.refresh_reference(reference)
+            for column, row in zip(columns, reference_rows):
+                touched |= column.refresh_reference(row)
             stats.novelty_evaluations += int((touched & alive).sum())
-        novelty = _total_novelty(columns, adapter.reference_cardinalities())
+        per_column = [
+            column.rescore(cardinality)
+            for column, cardinality in zip(columns, reference_cardinalities)
+        ]
+        novelty = per_column[0]
+        for column_novelty in per_column[1:]:
+            novelty = novelty + column_novelty
         scores = qualities_array * novelty
         best = _argmax_with_ties(scores, qualities_array, peer_ids, alive)
         best_novelty = float(novelty[best])
         plan.append((peer_ids[best], float(qualities_array[best]), best_novelty))
         alive[best] = False
-        adapter.absorb(candidates[best])
-        stats.novelty_evaluations += 1  # absorb's internal gain recompute
+        # Aggregate-Synopses: fold the winner's rows into the reference
+        # rows and add its per-column novelty — the gain the naive absorb
+        # recomputes — to the reference cardinalities, in column order.
+        reference_rows = [column.absorbed(best) for column in columns]
+        for index, column_novelty in enumerate(per_column):
+            reference_cardinalities[index] += float(column_novelty[best])
+        stats.novelty_evaluations += 1  # the winner's gain, reused
         if stopping.should_stop(
             selected_count=len(plan),
-            estimated_coverage=adapter.coverage(),
+            estimated_coverage=sum(reference_cardinalities),
             last_novelty=best_novelty,
         ):
             break
@@ -1103,11 +1021,10 @@ def fast_rank_detailed(
     """
     aggregation_type = type(aggregation)
     candidates = context.candidates()
-    adapter: _PerPeerAdapter | _PerTermAdapter
     if aggregation_type is PerPeerAggregation:
-        adapter = _PerPeerAdapter(aggregation, context, candidates)
+        columns, cardinalities = _per_peer_objects(aggregation, context, candidates)
     elif aggregation_type is PerTermAggregation:
-        adapter = _PerTermAdapter(aggregation, context, candidates)
+        columns, cardinalities = _per_term_objects(aggregation, context, candidates)
     else:
         raise FastPathUnsupported(
             f"no fast path for aggregation strategy {aggregation_type.__name__}"
@@ -1118,6 +1035,12 @@ def fast_rank_detailed(
         [qualities[peer_id] for peer_id in peer_ids], dtype=np.float64
     )
     plan = _run_incremental(
-        adapter, candidates, qualities_array, peer_ids, stopping, max_peers, stats
+        columns,
+        cardinalities,
+        qualities_array,
+        peer_ids,
+        stopping,
+        max_peers,
+        stats,
     )
     return plan, stats

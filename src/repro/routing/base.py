@@ -13,12 +13,22 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..datasets.queries import Query
+from ..synopses.base import SetSynopsis
 from ..synopses.factory import SynopsisSpec
 
 if TYPE_CHECKING:  # imported for annotations only — avoids a package cycle
     from ..minerva.posts import PeerList, Post
 
-__all__ = ["LocalView", "CandidatePeer", "RoutingContext", "PeerSelector"]
+__all__ = [
+    "LocalView",
+    "CandidatePeer",
+    "SeedSynopses",
+    "RoutingContext",
+    "PeerSelector",
+]
+
+#: Seed synopses of one query, keyed by ``(spec, doc ids)``.
+SeedSynopses = dict[tuple[SynopsisSpec, frozenset[int]], SetSynopsis]
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,12 @@ class RoutingContext:
     spec: SynopsisSpec
     initiator: LocalView | None = None
     conjunctive: bool = False
+    #: Synopses :meth:`seed_synopsis` built for this query.  Contexts of
+    #: one query may share the dict — the super-peer tier's two phases
+    #: do — so each seed is built once per query.
+    seed_synopses: SeedSynopses = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_peers <= 0:
@@ -102,6 +118,21 @@ class RoutingContext:
             for peer_id, posts in sorted(posts_by_peer.items())
         ]
         return self._candidates_cache
+
+    def seed_synopsis(self, ids: frozenset[int]) -> SetSynopsis:
+        """``spec.build(ids)``, built once per (spec, id set) and query.
+
+        A synopsis is a pure function of its spec and id set, so keying
+        on both is exact: strategies seeding from different id sets
+        (per-peer from the initiator's result, per-term from its term
+        lists) never share a build they should not.
+        """
+        key = (self.spec, frozenset(ids))
+        synopsis = self.seed_synopses.get(key)
+        if synopsis is None:
+            synopsis = self.spec.build(ids)
+            self.seed_synopses[key] = synopsis
+        return synopsis
 
     def collection_frequency(self, term: str) -> int:
         """CORI's ``cf_t``: number of peers that posted the term."""

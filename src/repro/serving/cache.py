@@ -12,10 +12,9 @@ caches capture that reuse:
   selector/aggregation signature, initiator, routing knobs) to the
   ranked peer plan *and* per-peer score upper bounds, so a repeated
   query skips Phase 1 (directory traffic) and Phase 2 (ranking) cold.
-- :class:`ReferenceSynopsisCache` memoizes the synopses IQN's novelty
-  rescoring builds from document-id sets (the initiator's reference
-  synopsis and every absorbed update), keyed by content and directory
-  epoch.
+- :class:`ReferenceSynopsisCache` memoizes the synopses IQN builds from
+  document-id sets — the initiator's reference synopses that seed
+  novelty estimation — keyed by content and directory epoch.
 
 Both are *churn-aware*: they subscribe (via the front end) to
 :class:`~repro.churn.service.DirectoryEvent` notifications, dropping a
@@ -334,9 +333,9 @@ class RoutingPlanCache:
 class ReferenceSynopsisCache:
     """Memoizes synopsis construction by content and directory epoch.
 
-    IQN's novelty rescoring builds a synopsis of the initiator's result
-    doc-ids for every query (and of every merged set as candidates are
-    absorbed).  The built synopsis is a pure function of ``(spec,
+    IQN seeds its reference synopsis from the initiator's result doc-ids
+    (per-term aggregation: from its term lists) on every query; absorbing
+    candidates unions synopses and builds nothing.  The built synopsis is a pure function of ``(spec,
     id-set)``, and all repo synopses are *non-mutating* (``union``
     returns a fresh instance), so one cached instance is safely shared
     across queries.  The ``epoch`` is bumped whenever directory content
@@ -424,8 +423,8 @@ class CachingSpec(SynopsisSpec):
 
     Dropped into :class:`~repro.routing.base.RoutingContext.spec` by the
     serving front end, so aggregation strategies (which call
-    ``context.spec.build`` for the reference synopsis and every absorb)
-    transparently share previously built synopses.  Construction copies
+    ``context.spec.build`` once per seed id set to start the reference;
+    absorb only unions) transparently share previously built synopses.  Construction copies
     the cached spec's fields, so ``label``/``size_in_bits``/equality of
     the *configuration* behave identically; only ``build`` changes.
     """

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Protocol
 from ..datasets.queries import Query
 from ..minerva.directory import Directory
 from ..minerva.posts import PeerList
-from ..routing.base import LocalView, PeerSelector, RoutingContext
+from ..routing.base import LocalView, PeerSelector, RoutingContext, SeedSynopses
 from ..synopses.factory import SynopsisSpec
 
 if TYPE_CHECKING:  # annotation only — fastpath imports stay off this path
@@ -87,6 +87,10 @@ class ScopedLists:
     #: Messages answered by super-peers for this assembly: one cluster
     #: directory fetch plus one member fetch per winning cluster.
     super_fetches: int = 0
+    #: Seed synopses the assembly already built for this query (see
+    #: :meth:`~repro.routing.base.RoutingContext.seed_synopsis`);
+    #: :meth:`RoutingTopology.context_for` hands them on.
+    seed_synopses: SeedSynopses = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,7 @@ class RoutingTopology(ABC):
             spec=self.host.spec,
             initiator=initiator,
             conjunctive=conjunctive,
+            seed_synopses=scoped.seed_synopses,
         )
 
     def plan(

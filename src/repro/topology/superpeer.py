@@ -45,7 +45,7 @@ import numpy as np
 from ..datasets.queries import Query
 from ..minerva.posts import PeerList, Post
 from ..net.cost import MessageKinds
-from ..routing.base import LocalView, PeerSelector, RoutingContext
+from ..routing.base import LocalView, PeerSelector, RoutingContext, SeedSynopses
 from ..synopses.columnstore import PeerIdTable, TermColumns
 from .base import ReElection, RoutingTopology, ScopedLists
 from .clustering import (
@@ -434,8 +434,13 @@ class SuperPeerTopology(RoutingTopology):
         initiator: LocalView | None = None,
         conjunctive: bool = False,
         budget: int = DEFAULT_CLUSTER_BUDGET,
+        seed_synopses: SeedSynopses | None = None,
     ) -> list[str]:
-        """Phase one: IQN over the merged cluster synopses."""
+        """Phase one: IQN over the merged cluster synopses.
+
+        ``seed_synopses`` collects the seed synopses this phase builds,
+        so phase two can reuse them (see :meth:`assemble`).
+        """
         clusters = self.ensure_clusters()
         if not clusters:
             return []
@@ -447,6 +452,7 @@ class SuperPeerTopology(RoutingTopology):
             spec=self.host.spec,
             initiator=initiator,
             conjunctive=conjunctive,
+            seed_synopses={} if seed_synopses is None else seed_synopses,
         )
         return self.cluster_selector.rank(context, budget)
 
@@ -547,8 +553,15 @@ class SuperPeerTopology(RoutingTopology):
             )
         directory = self.host.directory
         budget = self.resolve_cluster_budget(max_peers)
+        # Both phases seed their references from the same initiator:
+        # build each seed synopsis once for the query.
+        seed_synopses: SeedSynopses = {}
         winners = self.rank_clusters(
-            query, initiator=initiator, conjunctive=conjunctive, budget=budget
+            query,
+            initiator=initiator,
+            conjunctive=conjunctive,
+            budget=budget,
+            seed_synopses=seed_synopses,
         )
         _, cluster_bits = self.cluster_peer_lists(query.terms)
         directory.cost.record(MessageKinds.CLUSTER_FETCH, bits=cluster_bits)
@@ -566,6 +579,7 @@ class SuperPeerTopology(RoutingTopology):
             scope_size=sum(len(self.live_members(label)) for label in winners),
             clusters_ranked=tuple(winners),
             super_fetches=1 + len(winners),
+            seed_synopses=seed_synopses,
         )
 
     # -- churn -----------------------------------------------------------

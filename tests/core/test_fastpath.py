@@ -30,7 +30,11 @@ from repro.core.stopping import AnyOf, CoverageTarget, MaxPeers, MinimumNoveltyG
 from repro.datasets.queries import Query
 from repro.minerva.posts import PeerList, Post
 from repro.routing.base import LocalView, RoutingContext
-from repro.synopses.bloom import BloomFilter, cardinality_from_popcount
+from repro.synopses.bloom import (
+    BloomFilter,
+    cardinality_from_popcount,
+    pack_bit_row,
+)
 from repro.synopses.columnstore import PeerIdTable
 from repro.synopses.factory import SynopsisSpec
 
@@ -404,7 +408,7 @@ class TestBloomTier:
             before = popcounts(reference)
             reference = reference.union(build(ids))
             after = popcounts(reference)
-            mask = column.refresh_reference(reference)
+            mask = column.refresh_reference(pack_bit_row(reference.raw_bits, 256))
             expected = [
                 bool(ok) and old != new
                 for ok, old, new in zip(active, before, after)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.aggregation import PerPeerAggregation, PerTermAggregation
 from repro.core.iqn import IQNRouter
 from repro.datasets.queries import Query
 from repro.ir.documents import Corpus, Document
@@ -11,6 +12,7 @@ from repro.net.cost import MessageKinds
 from repro.net.latency import LatencyProfile
 from repro.topology import SuperPeerTopology
 from repro.minerva.posts import PeerList
+from repro.synopses.factory import SynopsisSpec
 from repro.topology.base import ReElection, ScopedLists
 
 from .conftest import make_topical_engine
@@ -127,6 +129,37 @@ class TestRouting:
                 max_peers=3,
                 peer_list_limit=2,
             )
+
+    @pytest.mark.parametrize(
+        "member_aggregation", (PerPeerAggregation, PerTermAggregation)
+    )
+    def test_one_seed_build_per_routed_query(self, monkeypatch, member_aggregation):
+        # Both phases seed IQN's reference from the same initiator, so a
+        # routed query builds each distinct seed synopsis exactly once.
+        engine = make_superpeer_engine()
+        topology = engine.topology
+        topology.ensure_clusters()
+        view = engine.local_view(QUERY, INITIATOR)
+        builds = []
+        original = SynopsisSpec.build
+
+        def counting(spec, ids):
+            builds.append(frozenset(ids))
+            return original(spec, ids)
+
+        monkeypatch.setattr(SynopsisSpec, "build", counting)
+        plan = topology.route(
+            QUERY,
+            IQNRouter(member_aggregation()),
+            3,
+            requester=INITIATOR,
+            initiator=view,
+        )
+        assert plan.selected
+        seeds = {view.result_doc_ids}
+        if member_aggregation is PerTermAggregation:
+            seeds |= set(view.doc_ids_by_term.values())
+        assert sorted(builds, key=sorted) == sorted(seeds, key=sorted)
 
     def test_networked_matches_passive_without_faults(self):
         passive = make_superpeer_engine().run_query(
