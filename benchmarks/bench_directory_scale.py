@@ -8,9 +8,9 @@ columnar ``PostBatch`` — every synopsis from one batched build
 ``Directory.publish_batch``, measures
 the resident bytes per peer of the packed columns, times IQN routing
 over the full directory — asserting the router attached to the stored
-columns (``stats.attach == "columns"``) — and verifies on a pinned
-seeded grid that column-backed plans are bit-identical to the
-object-backed fast path and the naive loop.
+columns (``stats.mode == "incremental"``) — and verifies on a pinned
+seeded grid that column-backed plans are bit-identical to the naive
+loop, and that a private-table rebuild falls back to it.
 
 Results land in ``benchmarks/results/BENCH_columnar.json`` (bytes/peer,
 synopsis-build and ingest seconds, routing latency, peak RSS per cell)
@@ -185,7 +185,7 @@ def run_cell(spec_label, num_peers):
     routing = measure(route, warmup=1, repeats=3 if num_peers < 100_000 else 1)
     assert router.last_stats is not None
     assert (
-        router.last_stats.attach == "columns"
+        router.last_stats.mode == "incremental"
     ), f"{spec_label}@{num_peers}: routing fell off the columnar tier"
     plan = router.rank_detailed(context, MAX_PEERS)
     assert plan, f"{spec_label}@{num_peers}: empty plan"
@@ -204,7 +204,7 @@ def run_cell(spec_label, num_peers):
 
 
 def check_bit_identity(spec_label, *, num_peers=500, seed=13):
-    """Column-backed plans == object fast path == naive loop, exactly."""
+    """Column-backed plans == naive loop == private-table fallback, exactly."""
     spec = SynopsisSpec.parse(spec_label)
     batch = make_batch(spec, draw_posts(num_peers, seed=seed))
     directory = build_directory(batch)
@@ -212,22 +212,22 @@ def check_bit_identity(spec_label, *, num_peers=500, seed=13):
     columnar = columnar_router.rank_detailed(
         make_context(directory, spec, num_peers, seed=seed), MAX_PEERS
     )
-    assert columnar_router.last_stats.attach == "columns"
+    assert columnar_router.last_stats.mode == "incremental"
     # Same content rebuilt on per-list private tables: the columnar view
-    # cannot attach, so this exercises the object-era packing path.
+    # cannot attach, so the router runs the naive loop.
     private = {term: PeerList(term=term) for term in TERMS}
     for post in posts_of(batch):
         private[term_of(post)].add(post)
-    object_router = IQNRouter(PerPeerAggregation())
-    object_plan = object_router.rank_detailed(
+    private_router = IQNRouter(PerPeerAggregation())
+    private_plan = private_router.rank_detailed(
         context_over(private, spec, num_peers, seed=seed), MAX_PEERS
     )
-    assert object_router.last_stats.attach == "objects"
+    assert private_router.last_stats.mode == "naive"
     naive = IQNRouter(PerPeerAggregation(), fast_path=False).rank_detailed(
         make_context(directory, spec, num_peers, seed=seed), MAX_PEERS
     )
     rows = lambda plan: [(s.peer_id, s.quality, s.novelty) for s in plan]
-    assert rows(columnar) == rows(object_plan) == rows(naive), (
+    assert rows(columnar) == rows(private_plan) == rows(naive), (
         f"plan divergence for {spec_label} at {num_peers} peers"
     )
 

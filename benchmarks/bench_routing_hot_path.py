@@ -1,9 +1,11 @@
 """HOT-PATH — vectorized routing vs the naive IQN loop.
 
-Not a paper figure: this quantifies the routing fast path
+Not a paper figure: this quantifies the routing kernels
 (:mod:`repro.core.fastpath`).  For each synopsis family and candidate
 count it runs the same Select-Best-Peer problem through the naive loop
-and the fast path, records wall time and novelty-evaluation counts,
+and the kernels over the packed columns — the lists share one peer-id
+table, as a directory's do — records wall time and novelty-evaluation
+counts,
 verifies the plans are bit-identical, and saves the comparison table
 under ``benchmarks/results/routing_hot_path.txt``.
 
@@ -26,6 +28,7 @@ from repro.datasets.queries import Query
 from repro.experiments.report import format_table
 from repro.minerva.posts import PeerList, Post
 from repro.routing.base import LocalView, RoutingContext
+from repro.synopses.columnstore import PeerIdTable
 from repro.synopses.factory import SynopsisSpec
 
 from _util import save_result
@@ -43,7 +46,8 @@ def make_context(seed, *, num_peers, spec_label):
     rng = random.Random(seed)
     spec = SynopsisSpec.parse(spec_label)
     universe = 100 * num_peers
-    peer_lists = {term: PeerList(term=term) for term in TERMS}
+    table = PeerIdTable()
+    peer_lists = {term: PeerList(term=term, peer_table=table) for term in TERMS}
     for i in range(num_peers):
         peer_id = f"p{i:04d}"
         base = rng.randrange(0, universe)
@@ -124,6 +128,9 @@ def run_once(spec_label, num_peers):
 
 @pytest.fixture(scope="module")
 def comparison():
+    # The first routing call in a process pays numpy's lazy submodule
+    # imports (~25 ms in np.unique); keep that out of the first row.
+    run_once(SPEC_LABELS[0], CANDIDATE_COUNTS[0])
     rows = [
         run_once(spec_label, count)
         for spec_label in SPEC_LABELS

@@ -9,7 +9,7 @@ from .aggregation import (
     PerTermState,
 )
 from .correlations import CorrelationAwarePerTerm, estimate_distinct_mass
-from .fastpath import FastPathUnsupported, RoutingStats, fast_rank_detailed
+from .fastpath import FastPathUnsupported, RoutingStats
 from .budget import (
     allocate_budget,
     benefit_list_length,
@@ -41,7 +41,6 @@ __all__ = [
     "IQNSelection",
     "RoutingStats",
     "FastPathUnsupported",
-    "fast_rank_detailed",
     "estimate_novelty",
     "AggregationStrategy",
     "PerPeerAggregation",

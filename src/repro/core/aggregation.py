@@ -115,9 +115,9 @@ class PerPeerAggregation(AggregationStrategy):
 
         Returns ``(None, 0.0)`` when the peer cannot contribute (e.g. a
         conjunctive query with a term the peer lacks).  Cached per peer —
-        the combination never changes across IQN iterations.  Public
-        because the routing fast path (:mod:`repro.core.fastpath`) packs
-        these combined synopses into its batched kernels.
+        the combination never changes across IQN iterations.  The
+        routing kernels (:mod:`repro.core.fastpath`) fold the same
+        combination row-wise on packed columns and must agree with it.
         """
         cached = state.combined_cache.get(candidate.peer_id)
         if cached is not None:

@@ -7,6 +7,13 @@ replaces that with one exact driver that produces *bit-identical* plans
 (same peers, same novelty/quality floats, same tie-breaks) for every
 synopsis family.
 
+The kernels read the directory's packed column store through
+:class:`~repro.routing.columns.ColumnContextView`.  A context the view
+cannot serve (peer lists on different peer-id tables, foreign synopsis
+objects) or a configuration no kernel represents exactly raises
+:class:`FastPathUnsupported`, and the router runs the naive loop, the
+reference oracle.
+
 **Exact incremental invalidation.**  Each family kernel caches every
 candidate's integer sufficient statistic against the reference (Bloom:
 popcount of ``cand AND NOT ref``; MIPs: matching-minima count; hash
@@ -38,7 +45,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..routing.base import CandidatePeer, RoutingContext
+from ..routing.base import RoutingContext
 from ..routing.columns import (
     ColumnContextView,
     ColumnViewUnavailable,
@@ -51,25 +58,23 @@ from ..synopses.columnstore import (
     LogLogColumn,
     MipsColumn,
     SynopsisColumn,
+    column_for,
 )
 from ..synopses.bloom import (
     BloomFilter,
     batch_difference_popcounts,
     pack_bit_row,
-    pack_bit_rows,
     popcount_cardinality_table,
 )
 from ..synopses.hashsketch import (
     HashSketch,
     first_zero_positions,
     pack_bitmap_row,
-    pack_bitmap_rows,
     rho_sum_cardinality_table,
 )
 from ..synopses.loglog import (
     LogLogCounter,
     pack_register_row,
-    pack_register_rows,
     register_cardinality_tables,
 )
 from ..synopses.mips import (
@@ -77,7 +82,6 @@ from ..synopses.mips import (
     MinWisePermutations,
     batch_match_counts,
     pack_minima_row,
-    pack_minima_rows,
 )
 from .aggregation import PerPeerAggregation, PerTermAggregation
 from .stopping import StoppingCriterion
@@ -85,7 +89,6 @@ from .stopping import StoppingCriterion
 __all__ = [
     "RoutingStats",
     "FastPathUnsupported",
-    "fast_rank_detailed",
     "column_rank_detailed",
 ]
 
@@ -106,13 +109,13 @@ class RoutingStats:
     it all the same.  ``naive_evaluations`` is what the naive loop would
     have spent on the same plan — the sum of remaining-candidate counts
     over rounds — so ``naive_evaluations / novelty_evaluations`` is the
-    measured savings factor; the fast path never exceeds
+    measured savings factor; the kernels never exceed
     ``naive_evaluations + rounds``.
 
-    ``attach`` records where the kernels got their matrices: ``"columns"``
-    when they attached straight to the directory's packed column store
-    (:func:`column_rank_detailed`), ``"objects"`` when per-peer synopsis
-    objects were packed at query time.
+    ``mode`` names the path that planned: ``"incremental"`` for the
+    kernels over the directory's packed columns
+    (:func:`column_rank_detailed`), ``"naive"`` for the reference loop,
+    ``"empty"`` when there was no candidate.
     """
 
     mode: str
@@ -120,7 +123,14 @@ class RoutingStats:
     rounds: int = 0
     novelty_evaluations: int = 0
     naive_evaluations: int = 0
-    attach: str = "objects"
+
+    @property
+    def attach(self) -> str:
+        """Where the kernels read their matrices: always ``"columns"``,
+        the directory's packed column store.  Readers that split plans
+        by tier (``perfbench/common.py``) still read it.
+        """
+        return "columns"
 
     @property
     def evaluation_savings(self) -> float:
@@ -132,14 +142,13 @@ class RoutingStats:
 
 # -- family kernels ----------------------------------------------------------
 #
-# One "column" tracks every candidate's synopsis against one reference
-# synopsis: the per-peer strategy uses a single column over combined
-# query synopses, the per-term strategy one column per query term.
-# Constructors raise FastPathUnsupported for anything the vectorized
-# kernels cannot represent exactly (foreign synopsis types, mismatched
-# parameters, heterogeneous MIPs lengths, >64-bit sketch bitmaps); the
-# router then falls back to the naive loop, which handles — or raises
-# on — those cases with the reference semantics.
+# One kernel tracks every candidate's packed synopsis row against one
+# reference synopsis: the per-peer strategy uses a single kernel over
+# combined query synopses, the per-term strategy one kernel per query
+# term.  The rows are gathered from the directory's column store, and
+# the adapters below have already matched the reference to the stored
+# family and parameters (``column_for``), so a constructor only packs
+# the reference and computes its statistics.
 #
 # Row ``i`` of a kernel's matrix is what Aggregate-Synopses unions into
 # the reference when candidate ``i`` wins: its synopsis even when the
@@ -165,10 +174,9 @@ class _Kernel:
 class _BloomColumn(_Kernel):
     """Packed-bit Bloom novelty kernel.
 
-    Operates on an already-packed ``(C, words)`` uint64 bit-matrix —
-    either gathered zero-copy from the directory's column store or packed
-    from per-peer objects via :meth:`from_objects` — and caches every
-    row's popcount of ``row AND NOT reference``.
+    Operates on a ``(C, words)`` uint64 bit-matrix gathered from the
+    directory's column store and caches every row's popcount of
+    ``row AND NOT reference``.
     """
 
     union = np.bitwise_or
@@ -180,8 +188,6 @@ class _BloomColumn(_Kernel):
         active: np.ndarray,
         reference: Any,
     ) -> None:
-        if type(reference) is not BloomFilter:
-            raise FastPathUnsupported("reference is not a plain BloomFilter")
         self._m = reference.num_bits
         self._rows = rows
         self._cards = np.asarray(cards, dtype=np.float64)
@@ -191,33 +197,6 @@ class _BloomColumn(_Kernel):
         )
         self._reference_row = pack_bit_row(reference.raw_bits, self._m)
         self._popcounts = batch_difference_popcounts(rows, self._reference_row)
-
-    @classmethod
-    def from_objects(
-        cls,
-        synopses: Sequence[Any],
-        cards: Sequence[float],
-        active: np.ndarray,
-        reference: Any,
-    ) -> "_BloomColumn":
-        if type(reference) is not BloomFilter:
-            raise FastPathUnsupported("reference is not a plain BloomFilter")
-        params = (reference.num_bits, reference.num_hashes, reference.seed)
-        bits: list[int] = []
-        for synopsis in synopses:
-            if synopsis is None:
-                bits.append(0)
-                continue
-            if type(synopsis) is not BloomFilter or (
-                synopsis.num_bits,
-                synopsis.num_hashes,
-                synopsis.seed,
-            ) != params:
-                raise FastPathUnsupported("heterogeneous Bloom parameters")
-            bits.append(synopsis.raw_bits)
-        return cls(
-            pack_bit_rows(bits, reference.num_bits), cards, active, reference
-        )
 
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         # A row's difference popcount can only move where it has a bit
@@ -252,8 +231,6 @@ class _MipsColumn(_Kernel):
         active: np.ndarray,
         reference: Any,
     ) -> None:
-        if type(reference) is not MinWisePermutations:
-            raise FastPathUnsupported("reference is not a plain MIPs synopsis")
         self._rows = rows
         self._common = reference.num_permutations
         self._reference_row = pack_minima_row(reference)
@@ -263,26 +240,6 @@ class _MipsColumn(_Kernel):
         self._cand_empty = (self._rows == MIPS_MODULUS).all(axis=1)
         self._ref_empty = bool((self._reference_row == MIPS_MODULUS).all())
         self._maintained = active & ~self._cand_empty
-
-    @classmethod
-    def from_objects(
-        cls,
-        synopses: Sequence[Any],
-        cards: Sequence[float],
-        active: np.ndarray,
-        reference: Any,
-    ) -> "_MipsColumn":
-        if type(reference) is not MinWisePermutations:
-            raise FastPathUnsupported("reference is not a plain MIPs synopsis")
-        length = reference.num_permutations
-        for synopsis in synopses:
-            if synopsis is not None and (
-                type(synopsis) is not MinWisePermutations
-                or synopsis.seed != reference.seed
-                or synopsis.num_permutations != length
-            ):
-                raise FastPathUnsupported("heterogeneous MIPs vectors")
-        return cls(pack_minima_rows(synopses, length), cards, active, reference)
 
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         changed = np.nonzero(new_row != self._reference_row)[0]
@@ -341,10 +298,6 @@ class _HashSketchColumn(_Kernel):
         active: np.ndarray,
         reference: Any,
     ) -> None:
-        if type(reference) is not HashSketch:
-            raise FastPathUnsupported("reference is not a plain HashSketch")
-        if reference.bitmap_length > 64:
-            raise FastPathUnsupported("sketch bitmaps exceed one machine word")
         self._length = reference.bitmap_length
         self._rows = rows
         self._reference_row = pack_bitmap_row(reference)
@@ -359,37 +312,6 @@ class _HashSketchColumn(_Kernel):
         self._active = active
         self._cand_empty = (self._rows == 0).all(axis=1)
         self._maintained = active & ~self._cand_empty
-
-    @classmethod
-    def from_objects(
-        cls,
-        synopses: Sequence[Any],
-        cards: Sequence[float],
-        active: np.ndarray,
-        reference: Any,
-    ) -> "_HashSketchColumn":
-        if type(reference) is not HashSketch:
-            raise FastPathUnsupported("reference is not a plain HashSketch")
-        if reference.bitmap_length > 64:
-            raise FastPathUnsupported("sketch bitmaps exceed one machine word")
-        params = (reference.num_bitmaps, reference.bitmap_length, reference.seed)
-        for synopsis in synopses:
-            if synopsis is not None and (
-                type(synopsis) is not HashSketch
-                or (
-                    synopsis.num_bitmaps,
-                    synopsis.bitmap_length,
-                    synopsis.seed,
-                )
-                != params
-            ):
-                raise FastPathUnsupported("heterogeneous hash-sketch parameters")
-        return cls(
-            pack_bitmap_rows(synopses, reference.num_bitmaps),
-            cards,
-            active,
-            reference,
-        )
 
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         touched = np.zeros(len(self._rows), dtype=bool)
@@ -439,8 +361,6 @@ class _LogLogColumn(_Kernel):
         active: np.ndarray,
         reference: Any,
     ) -> None:
-        if type(reference) is not LogLogCounter:
-            raise FastPathUnsupported("reference is not a plain LogLogCounter")
         buckets = reference.num_buckets
         self._rows = rows
         self._reference_row = pack_register_row(reference)
@@ -455,26 +375,6 @@ class _LogLogColumn(_Kernel):
         self._active = active
         self._cand_empty = (rows == 0).all(axis=1)
         self._maintained = active & ~self._cand_empty
-
-    @classmethod
-    def from_objects(
-        cls,
-        synopses: Sequence[Any],
-        cards: Sequence[float],
-        active: np.ndarray,
-        reference: Any,
-    ) -> "_LogLogColumn":
-        if type(reference) is not LogLogCounter:
-            raise FastPathUnsupported("reference is not a plain LogLogCounter")
-        buckets = reference.num_buckets
-        for synopsis in synopses:
-            if synopsis is not None and (
-                type(synopsis) is not LogLogCounter
-                or synopsis.seed != reference.seed
-                or synopsis.num_buckets != buckets
-            ):
-                raise FastPathUnsupported("heterogeneous LogLog parameters")
-        return cls(pack_register_rows(synopses, buckets), cards, active, reference)
 
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         touched = np.zeros(len(self._merged), dtype=bool)
@@ -506,157 +406,62 @@ class _LogLogColumn(_Kernel):
         return novelty
 
 
-_COLUMN_TYPES = {
-    BloomFilter: _BloomColumn,
-    MinWisePermutations: _MipsColumn,
-    HashSketch: _HashSketchColumn,
-    LogLogCounter: _LogLogColumn,
+# -- strategy adapters -------------------------------------------------------
+#
+# An adapter seeds the family kernels from the strategy's ``start``,
+# attaches them to gathered slices of the directory's stored matrices,
+# and returns them with their reference cardinalities, one per kernel,
+# in the order the strategy's coverage sums them.  From there on the
+# driver owns the reference: packed rows plus these floats.  Rows with
+# nothing to absorb are the family's neutral payload, and the
+# cardinality clamps run the strategies' scalar float operations in the
+# same association, so the driver sees exactly the naive loop's inputs.
+
+_KERNELS: dict[type[SynopsisColumn], type[_Kernel]] = {
+    BloomColumn: _BloomColumn,
+    MipsColumn: _MipsColumn,
+    HashSketchColumn: _HashSketchColumn,
+    LogLogColumn: _LogLogColumn,
 }
 
 
-def _make_column(
-    synopses: Sequence[Any],
-    cards: Sequence[float],
-    active: np.ndarray,
-    reference: Any,
-) -> Any:
-    column_type = _COLUMN_TYPES.get(type(reference))
-    if column_type is None:
+def _family(reference: Any) -> tuple[SynopsisColumn, Any]:
+    """An empty store column matching ``reference``, and its kernel.
+
+    ``column_for`` refuses exactly what the kernels cannot represent:
+    subclassed or unknown families and >64-bit sketch bitmaps.
+    """
+    template = column_for(reference, 1)
+    if template is None:
         raise FastPathUnsupported(
             f"no vectorized kernel for {type(reference).__name__}"
         )
-    return column_type.from_objects(synopses, cards, active, reference)
-
-
-# -- strategy adapters -------------------------------------------------------
-#
-# An adapter seeds the family kernels from the strategy's ``start`` and
-# returns them with their reference cardinalities, one per kernel, in
-# the order the strategy's coverage sums them.  From there on the
-# driver owns the reference: packed rows plus these floats.
-
-
-def _per_peer_objects(
-    aggregation: PerPeerAggregation,
-    context: RoutingContext,
-    candidates: list[CandidatePeer],
-) -> tuple[list[Any], list[float]]:
-    """Single column over per-candidate combined query synopses."""
-    state = aggregation.start(context)
-    synopses: list[Any] = []
-    cards: list[float] = []
-    active: list[bool] = []
-    for candidate in candidates:
-        combined, cardinality = aggregation.combine(state, candidate)
-        ok = combined is not None and cardinality > 0.0
-        synopses.append(combined)
-        cards.append(cardinality if ok else 0.0)
-        active.append(ok)
-    column = _make_column(
-        synopses, cards, np.asarray(active, dtype=bool), state.reference
-    )
-    return [column], [state.reference_cardinality]
-
-
-def _per_term_objects(
-    aggregation: PerTermAggregation,
-    context: RoutingContext,
-    candidates: list[CandidatePeer],
-) -> tuple[list[Any], list[float]]:
-    """One column per query term over the posted term synopses."""
-    state = aggregation.start(context)
-    columns: list[Any] = []
-    for term in context.query.terms:
-        synopses: list[Any] = []
-        cards: list[float] = []
-        active: list[bool] = []
-        for candidate in candidates:
-            post = candidate.post(term)
-            synopsis = None if post is None else post.synopsis
-            cdf = 0 if post is None else post.cdf
-            ok = synopsis is not None and cdf != 0
-            synopses.append(synopsis)
-            cards.append(float(cdf) if ok else 0.0)
-            active.append(ok)
-        if any(card < 0.0 for card in cards):
-            raise FastPathUnsupported("negative candidate cardinality")
-        columns.append(
-            _make_column(
-                synopses,
-                cards,
-                np.asarray(active, dtype=bool),
-                state.references[term],
-            )
-        )
-    return columns, [
-        state.reference_cardinalities[term] for term in context.query.terms
-    ]
-
-
-# -- columnar attach ---------------------------------------------------------
-#
-# When the directory stores synopses in packed per-term columns
-# (repro.synopses.columnstore), the kernels above can attach to gathered
-# slices of the stored matrices instead of re-packing per-peer objects:
-# packing is an ingest-time cost, amortized across queries.  Everything
-# below reproduces the object adapters bit-for-bit — the gathered
-# matrices equal what from_objects would have packed (rows with nothing
-# to absorb are the family's neutral payload), the cardinality clamps run the
-# same float operations in the same association, and the shared driver
-# then sees identical inputs.
-
-
-def _store_params(reference: Any) -> tuple[Any, tuple[int, ...]]:
-    """``(column-store class, ctor params)`` matching ``reference``."""
-    if type(reference) is BloomFilter:
-        return BloomColumn, (
-            reference.num_bits,
-            reference.num_hashes,
-            reference.seed,
-        )
-    if type(reference) is MinWisePermutations:
-        return MipsColumn, (reference.num_permutations, reference.seed)
-    if type(reference) is HashSketch:
-        if reference.bitmap_length > 64:
-            raise FastPathUnsupported("sketch bitmaps exceed one machine word")
-        return HashSketchColumn, (
-            reference.num_bitmaps,
-            reference.bitmap_length,
-            reference.seed,
-        )
-    if type(reference) is LogLogCounter:
-        return LogLogColumn, (reference.num_buckets, reference.seed)
-    raise FastPathUnsupported(
-        f"no vectorized kernel for {type(reference).__name__}"
-    )
+    return template, _KERNELS[type(template)]
 
 
 def _term_matrix(
     column: SynopsisColumn | None,
     rows: np.ndarray,
     mask: np.ndarray,
-    store_cls: Any,
-    params: tuple[int, ...],
+    template: SynopsisColumn,
     count: int,
 ) -> np.ndarray:
     """One term's stored column gathered into candidate order.
 
     ``column is None`` means no peer ever posted a packable synopsis for
-    the term — every candidate row is neutral, exactly what the object
-    path packs for ``None`` synopses.
+    the term, so every candidate row is neutral.
     """
     if column is None:
-        return store_cls(*params, 1).neutral_matrix(count)
-    if type(column) is not store_cls or column.params != params:
+        return template.neutral_matrix(count)
+    if not template.matches(column):
         raise FastPathUnsupported(
             "stored column family or parameters do not match the reference"
         )
     return column.gather(rows, mask)
 
 
-def _fold_disjunctive(mats: list[np.ndarray], reference: Any) -> np.ndarray:
+def _fold_disjunctive(mats: list[np.ndarray], union: np.ufunc) -> np.ndarray:
     """Row-wise union fold; the neutral payload is the fold identity."""
-    union = _COLUMN_TYPES[type(reference)].union
     combined = mats[0]
     for mat in mats[1:]:
         union(combined, mat, out=combined)
@@ -664,25 +469,25 @@ def _fold_disjunctive(mats: list[np.ndarray], reference: Any) -> np.ndarray:
 
 
 def _fold_conjunctive(
-    mats: list[np.ndarray], reference: Any, crude_fallback: bool
+    mats: list[np.ndarray], kernel_cls: Any, crude_fallback: bool
 ) -> np.ndarray:
     """Row-wise intersection fold, mirroring ``PerPeerAggregation.combine``.
 
     Hash sketches and LogLog counters raise ``UnsupportedOperationError``
-    on every pairwise intersect; with the crude fallback enabled the
-    object path degrades each pair to a union, so the whole fold *is* the
-    union fold.  Without the fallback the object path raises a
-    non-FastPathUnsupported error the naive loop must surface — defer to
-    it.  A single-term fold never intersects at all.
+    on every pairwise intersect; with the crude fallback enabled
+    ``combine`` degrades each pair to a union, so the whole fold *is* the
+    union fold.  Without the fallback ``combine`` raises an error the
+    naive loop must surface — defer to it.  A single-term fold never
+    intersects at all.
     """
     if len(mats) == 1:
         return mats[0]
-    if type(reference) is BloomFilter:
+    if kernel_cls is _BloomColumn:
         combined = mats[0]
         for mat in mats[1:]:
             np.bitwise_and(combined, mat, out=combined)
         return combined
-    if type(reference) is MinWisePermutations:
+    if kernel_cls is _MipsColumn:
         combined = mats[0]
         for mat in mats[1:]:
             np.maximum(combined, mat, out=combined)
@@ -692,7 +497,7 @@ def _fold_conjunctive(
             "conjunctive intersection raises for this family; the naive "
             "loop owns that error"
         )
-    return _fold_disjunctive(mats, reference)
+    return _fold_disjunctive(mats, kernel_cls.union)
 
 
 def _matrix_cardinalities(rows: np.ndarray, reference: Any) -> np.ndarray:
@@ -715,9 +520,7 @@ def _matrix_cardinalities(rows: np.ndarray, reference: Any) -> np.ndarray:
         fractions = rows / float(MIPS_MODULUS)
         # Sequential accumulation in position order — the scalar
         # estimator's sum() order — keeps float addition bit-identical.
-        total = fractions[:, 0].copy()
-        for position in range(1, length):
-            total = total + fractions[:, position]
+        total = np.add.accumulate(fractions, axis=1)[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             estimate = np.where(
                 total <= 0.0,
@@ -796,11 +599,10 @@ def _per_peer_columns(
     context: RoutingContext,
     view: ColumnContextView,
 ) -> tuple[list[Any], list[float]]:
-    """Per-peer aggregation attached to stored columns (zero repacking)."""
+    """One kernel over each candidate's combined query synopsis."""
     state = aggregation.start(context)
     reference = state.reference
-    store_cls, params = _store_params(reference)
-    kernel_cls = _COLUMN_TYPES[type(reference)]
+    template, kernel_cls = _family(reference)
     count = view.count
     mats: list[np.ndarray] = []
     syn_count = np.zeros(count, dtype=np.int64)
@@ -811,8 +613,7 @@ def _per_peer_columns(
                 gather.columns.synopsis_column,
                 gather.rows,
                 gather.has_synopsis,
-                store_cls,
-                params,
+                template,
                 count,
             )
         )
@@ -821,10 +622,10 @@ def _per_peer_columns(
             conj_ok &= gather.has_post & gather.has_synopsis
     if context.conjunctive:
         combined = _fold_conjunctive(
-            mats, reference, aggregation.crude_conjunctive_fallback
+            mats, kernel_cls, aggregation.crude_conjunctive_fallback
         )
     else:
-        combined = _fold_disjunctive(mats, reference)
+        combined = _fold_disjunctive(mats, kernel_cls.union)
     cards = _combined_cardinalities(
         view, combined, reference, context.conjunctive
     )
@@ -835,7 +636,7 @@ def _per_peer_columns(
         active &= conj_ok
         # A conjunctive candidate missing a term's synopsis combines to
         # nothing, so it must absorb as the neutral payload.
-        combined[~conj_ok] = store_cls.neutral
+        combined[~conj_ok] = template.neutral
     cards = np.where(active, cards, 0.0)
     return [kernel_cls(combined, cards, active, reference)], [
         state.reference_cardinality
@@ -847,13 +648,12 @@ def _per_term_columns(
     context: RoutingContext,
     view: ColumnContextView,
 ) -> tuple[list[Any], list[float]]:
-    """Per-term aggregation attached to stored columns (zero repacking)."""
+    """One kernel per query term over the posted term synopses."""
     state = aggregation.start(context)
     columns: list[Any] = []
     for gather in view.gathers:
         reference = state.references[gather.term]
-        store_cls, params = _store_params(reference)
-        kernel_cls = _COLUMN_TYPES[type(reference)]
+        template, kernel_cls = _family(reference)
         # Posts with a synopsis but ``cdf == 0`` score nothing, yet the
         # naive absorb still unions their synopsis in.
         active = gather.has_synopsis & (gather.cdf != 0)
@@ -861,8 +661,7 @@ def _per_term_columns(
             gather.columns.synopsis_column,
             gather.rows,
             gather.has_synopsis,
-            store_cls,
-            params,
+            template,
             view.count,
         )
         cards = np.where(active, gather.cdf.astype(np.float64), 0.0)
@@ -883,13 +682,13 @@ def column_rank_detailed(
 ) -> tuple[list[tuple[str, float, float]], RoutingStats]:
     """Run Select-Best-Peer directly on the directory's packed columns.
 
-    The fastest tier: candidate assembly, CORI scoring, and the novelty
-    kernels all read gathered slices of the stored matrices — no per-peer
-    Python objects exist on the hot path.  Plans are bit-identical to
-    both the object fast path and the naive loop.  Raises
-    :class:`FastPathUnsupported` — always before mutating shared state —
-    when the context is not column-backed or the configuration needs the
-    object tiers.
+    Candidate assembly, CORI scoring, and the novelty kernels all read
+    gathered slices of the stored matrices — no per-peer Python objects
+    exist on the hot path.  Plans are bit-identical to the naive loop.
+    Raises :class:`FastPathUnsupported` — always before mutating shared
+    state — when the column view cannot serve the context (peer lists on
+    different peer-id tables, foreign synopses) or no kernel represents
+    the configuration exactly; the router then runs the naive loop.
     """
     aggregation_type = type(aggregation)
     if aggregation_type not in (PerPeerAggregation, PerTermAggregation):
@@ -901,7 +700,7 @@ def column_rank_detailed(
     except ColumnViewUnavailable as exc:
         raise FastPathUnsupported(str(exc)) from exc
     if view.count == 0:
-        return [], RoutingStats(mode="empty", candidates=0, attach="columns")
+        return [], RoutingStats(mode="empty", candidates=0)
     qualities_array = (
         cori_score_array(view, alpha=alpha)
         if quality_weighted
@@ -911,9 +710,7 @@ def column_rank_detailed(
         columns, cardinalities = _per_peer_columns(aggregation, context, view)
     else:
         columns, cardinalities = _per_term_columns(aggregation, context, view)
-    stats = RoutingStats(
-        mode="incremental", candidates=view.count, attach="columns"
-    )
+    stats = RoutingStats(mode="incremental", candidates=view.count)
     plan = _run_incremental(
         columns,
         cardinalities,
@@ -998,49 +795,3 @@ def _run_incremental(
         ):
             break
     return plan
-
-
-# -- entry point -------------------------------------------------------------
-
-
-def fast_rank_detailed(
-    context: RoutingContext,
-    aggregation: Any,
-    qualities: dict[str, float],
-    stopping: StoppingCriterion,
-    max_peers: int,
-) -> tuple[list[tuple[str, float, float]], RoutingStats]:
-    """Run Select-Best-Peer on the fast path.
-
-    Returns ``(plan, stats)`` where plan entries are
-    ``(peer_id, quality, novelty)`` tuples bit-identical to the naive
-    loop's selections.  Raises :class:`FastPathUnsupported` — always
-    *before* mutating any shared state — when the configuration needs
-    the naive reference implementation (exotic aggregation strategies,
-    mixed synopsis parameters, unsupported families).
-    """
-    aggregation_type = type(aggregation)
-    candidates = context.candidates()
-    if aggregation_type is PerPeerAggregation:
-        columns, cardinalities = _per_peer_objects(aggregation, context, candidates)
-    elif aggregation_type is PerTermAggregation:
-        columns, cardinalities = _per_term_objects(aggregation, context, candidates)
-    else:
-        raise FastPathUnsupported(
-            f"no fast path for aggregation strategy {aggregation_type.__name__}"
-        )
-    stats = RoutingStats(mode="incremental", candidates=len(candidates))
-    peer_ids = [candidate.peer_id for candidate in candidates]
-    qualities_array = np.array(
-        [qualities[peer_id] for peer_id in peer_ids], dtype=np.float64
-    )
-    plan = _run_incremental(
-        columns,
-        cardinalities,
-        qualities_array,
-        peer_ids,
-        stopping,
-        max_peers,
-        stats,
-    )
-    return plan, stats

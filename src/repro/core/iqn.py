@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from ..routing.base import PeerSelector, RoutingContext
 from ..routing.cori import CORI_ALPHA, cori_scores
 from .aggregation import AggregationStrategy, PerPeerAggregation
-from .fastpath import (
-    FastPathUnsupported,
-    RoutingStats,
-    column_rank_detailed,
-    fast_rank_detailed,
-)
+from .fastpath import FastPathUnsupported, RoutingStats, column_rank_detailed
 from .stopping import MaxPeers, StoppingCriterion
 
 __all__ = ["IQNSelection", "IQNRouter"]
@@ -66,12 +61,11 @@ class IQNRouter(PeerSelector):
     alpha:
         CORI's default-belief parameter for the quality component.
     fast_path:
-        Use the vectorized Select-Best-Peer driver
-        (:mod:`repro.core.fastpath`: cached per-candidate statistics,
-        exact invalidation of the rows each absorb touches) when the
-        configuration supports it, falling back to the naive loop
-        otherwise.  Plans are bit-identical either way; disable only to
-        benchmark or debug against the naive reference implementation.
+        Run the vectorized Select-Best-Peer kernels over the directory's
+        packed columns (:func:`~repro.core.fastpath.column_rank_detailed`)
+        when they can serve the context, and the naive loop otherwise.
+        Plans are bit-identical either way; ``False`` always runs the
+        naive loop, the reference oracle the kernels are tested against.
 
     After every :meth:`rank_detailed` call, :attr:`last_stats` holds a
     :class:`~repro.core.fastpath.RoutingStats` describing the work done
@@ -120,8 +114,6 @@ class IQNRouter(PeerSelector):
         stopping = self.stopping or MaxPeers(max_peers)
 
         if self.fast_path:
-            # Fastest tier: attach directly to the directory's packed
-            # columns — no per-peer objects on the hot path at all.
             try:
                 plan_rows, stats = column_rank_detailed(
                     context,
@@ -149,20 +141,6 @@ class IQNRouter(PeerSelector):
             if self.quality_weighted
             else {peer_id: 1.0 for peer_id in candidates}
         )
-
-        if self.fast_path:
-            try:
-                plan_rows, stats = fast_rank_detailed(
-                    context, self.aggregation, qualities, stopping, max_peers
-                )
-            except FastPathUnsupported:
-                pass  # configurations the kernels can't represent exactly
-            else:
-                self.last_stats = stats
-                return [
-                    IQNSelection(peer_id=peer_id, quality=quality, novelty=novelty)
-                    for peer_id, quality, novelty in plan_rows
-                ]
 
         stats = RoutingStats(mode="naive", candidates=len(candidates))
         state = self.aggregation.start(context)

@@ -1,22 +1,24 @@
 """Zero-copy columnar candidate view over column-backed PeerLists.
 
-The object routing path assembles one :class:`CandidatePeer` per peer
-per query — a Python dict walk that dominates query time past ~10^3
-peers.  When every PeerList in the query is backed by a
+:meth:`RoutingContext.candidates` assembles one :class:`CandidatePeer`
+per peer per query — a Python dict walk that dominates query time past
+~10^3 peers.  When every PeerList in the query is backed by a
 :class:`~repro.synopses.columnstore.TermColumns` sharing one interned
 peer-id table (the invariant :class:`~repro.minerva.directory.Directory`
 maintains), candidate assembly reduces to array ops: a sorted-unique
 union of interned ids, one inverse-permutation gather per term, and
 vectorized CORI scoring — no per-peer Python loop.
 
-Everything here reproduces the object path bit-for-bit: gathers follow
+Everything here reproduces that assembly and
+:func:`~repro.routing.cori.cori_scores` bit-for-bit: gathers follow
 the same dict-iteration order, CORI runs the same float operations in
 the same association, and candidate order equals ``sorted(peer_ids)``
 because numpy ``<U`` comparison is Python code-point order.
 
 :class:`ColumnViewUnavailable` signals contexts the columnar path cannot
-serve (hand-built lists on foreign tables, foreign synopsis objects);
-callers fall back to the object tier.
+serve (peer lists on different peer-id tables, foreign synopsis
+objects); :class:`~repro.core.iqn.IQNRouter` then runs the naive loop,
+the reference oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +45,11 @@ __all__ = [
 
 
 class ColumnViewUnavailable(Exception):
-    """The routing context cannot be served from packed columns."""
+    """The routing context cannot be served from packed columns.
+
+    Raised for peer lists that are not column-backed, that span
+    different peer-id tables, or that hold foreign synopsis objects.
+    """
 
 
 @dataclass(frozen=True)

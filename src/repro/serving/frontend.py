@@ -50,7 +50,7 @@ from ..minerva.engine import (
 )
 from ..net.cost import CostModel, CostSnapshot, MessageKinds
 from ..parallel.seeding import derive_seed
-from ..routing.base import PeerSelector
+from ..routing.base import PeerSelector, SeedSynopses
 from ..simnet.clock import SimFuture, gather, spawn
 from ..simnet.executor import SimNetExecutor
 from ..simnet.rpc import RpcHandler, RpcResult
@@ -360,6 +360,7 @@ class ServingFrontend:
     ]:
         """Phases 1 + 2 of the one-shot path, producing a cacheable plan."""
         executor = self.executor
+        seed_synopses: SeedSynopses = {}
         if executor.engine.topology.hierarchical:
             scoped = yield from executor._fetch_scoped_lists(
                 query,
@@ -369,6 +370,7 @@ class ServingFrontend:
                 conjunctive=self.conjunctive,
                 max_peers=self.max_peers,
                 successor_fallback=self.successor_fallback,
+                seed_synopses=seed_synopses,
             )
             peer_lists, scoped_failed = scoped[0], scoped[1]
             failed_terms = list(scoped_failed)
@@ -384,6 +386,7 @@ class ServingFrontend:
             peer_k=self.peer_k,
             conjunctive=self.conjunctive,
             spec=self._caching_spec,
+            seed_synopses=seed_synopses,
         )
         ranked = tuple(
             self.selector.rank(context, self.max_peers + self.fallback_spares)

@@ -48,7 +48,7 @@ from ..minerva.engine import (
 from ..minerva.posts import PeerList
 from ..net.cost import CostModel, MessageKinds
 from ..net.latency import LatencyProfile
-from ..routing.base import LocalView, PeerSelector, RoutingContext
+from ..routing.base import LocalView, PeerSelector, RoutingContext, SeedSynopses
 from ..synopses.factory import SynopsisSpec
 from ..topology.superpeer import SuperPeerTopology
 from .clock import SimClock, SimFuture, gather, spawn
@@ -419,6 +419,9 @@ class SimNetExecutor:
         clusters_ranked: tuple[str, ...] = ()
         super_fetches = 0
         topology_fallbacks = 0
+        # Both routing phases seed their references from the initiator:
+        # build each seed synopsis once for the query.
+        seed_synopses: SeedSynopses = {}
         if engine.topology.hierarchical:
             # Phase 1 (hierarchical) — cluster directory from the
             # initiator's super-peer, cluster ranking locally, then one
@@ -431,6 +434,7 @@ class SimNetExecutor:
                 conjunctive=conjunctive,
                 max_peers=max_peers,
                 successor_fallback=successor_fallback,
+                seed_synopses=seed_synopses,
             )
             (
                 peer_lists,
@@ -456,6 +460,7 @@ class SimNetExecutor:
             peer_lists,
             peer_k=peer_k,
             conjunctive=conjunctive,
+            seed_synopses=seed_synopses,
         )
         ranked = tuple(selector.rank(context, max_peers + fallback_spares))
         selected = ranked[:max_peers]
@@ -657,6 +662,7 @@ class SimNetExecutor:
         conjunctive: bool,
         max_peers: int,
         successor_fallback: bool,
+        seed_synopses: SeedSynopses,
     ) -> Generator[
         SimFuture,
         Any,
@@ -679,6 +685,9 @@ class SimNetExecutor:
         RPC per winner).  An unreachable super-peer degrades to the full
         flat fetch (counted as a topology fallback); a winning cluster
         whose member fetch never answers is skipped (also counted).
+        Cluster ranking collects the seed synopses it builds in
+        ``seed_synopses``; pass the same dict to
+        :meth:`make_routing_context` so phase two reuses them.
         Returns ``(peer_lists, failed_terms, directory_attempts,
         directory_fallbacks, clusters_ranked, super_fetches,
         topology_fallbacks)``.
@@ -725,6 +734,7 @@ class SimNetExecutor:
             initiator=local_view,
             conjunctive=conjunctive,
             budget=topology.resolve_cluster_budget(max_peers),
+            seed_synopses=seed_synopses,
         )
         member_replies: list[RpcResult] = yield gather(
             [
@@ -776,6 +786,7 @@ class SimNetExecutor:
         peer_k: int,
         conjunctive: bool,
         spec: SynopsisSpec | None = None,
+        seed_synopses: SeedSynopses,
     ) -> tuple[RoutingContext, tuple[ScoredDocument, ...]]:
         """Assemble the Phase-2 routing context from fetched PeerLists.
 
@@ -783,7 +794,9 @@ class SimNetExecutor:
         reference synopsis) and returns ``(context, local_results)``.
         ``spec`` overrides the engine's synopsis spec — the serving
         layer passes a build-memoizing wrapper so reference synopses
-        shared across queries are constructed once.
+        shared across queries are constructed once.  ``seed_synopses``
+        is the query's seed dict, which a super-peer tier's cluster
+        ranking has already filled.
         """
         engine = self.engine
         initiator = engine.peers[initiator_id]
@@ -803,6 +816,7 @@ class SimNetExecutor:
                 },
             ),
             conjunctive=conjunctive,
+            seed_synopses=seed_synopses,
         )
         return context, local
 

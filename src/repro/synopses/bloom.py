@@ -47,7 +47,6 @@ __all__ = [
     "cardinality_from_popcount",
     "popcount_cardinality_table",
     "pack_bit_row",
-    "pack_bit_rows",
     "unpack_bit_row",
     "batch_difference_popcounts",
 ]
@@ -169,17 +168,6 @@ def bloom_rows(
             np.uint64(1) << (position & np.uint64(63)),
         )
     return rows
-
-
-def pack_bit_rows(bit_vectors: Iterable[int], num_bits: int) -> np.ndarray:
-    """Pack big-int bit vectors into a ``(C, ceil(m/64))`` uint64 matrix."""
-    num_words = (num_bits + 63) // 64
-    vectors = list(bit_vectors)
-    if not vectors:
-        return np.zeros((0, num_words), dtype=np.uint64)
-    payload = b"".join(b.to_bytes(num_words * 8, "little") for b in vectors)
-    rows = np.frombuffer(payload, dtype="<u8").reshape(len(vectors), num_words)
-    return rows.copy()
 
 
 def batch_difference_popcounts(rows: np.ndarray, reference_row: np.ndarray) -> np.ndarray:

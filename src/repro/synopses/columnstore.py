@@ -240,8 +240,8 @@ class SynopsisColumn:
 
         ``rows`` maps output position to stored row (``-1`` = absent);
         positions where ``mask`` is false — or the row is absent — come
-        out neutral, exactly matching how the object-path kernels pack
-        ``None`` synopses.
+        out neutral: the empty synopsis, which is what Aggregate-Synopses
+        unions in for a candidate with nothing to absorb.
         """
         out = self._make_matrix(len(rows))
         take = mask & (rows >= 0)

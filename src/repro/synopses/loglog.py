@@ -45,7 +45,6 @@ __all__ = [
     "cardinality_from_register_stats",
     "register_cardinality_tables",
     "pack_register_row",
-    "pack_register_rows",
 ]
 
 #: Asymptotic bias-correction constant of the LogLog estimator.
@@ -113,21 +112,6 @@ def pack_register_row(synopsis: "LogLogCounter") -> np.ndarray:
     return np.fromiter(
         synopsis._registers, dtype=np.uint8, count=synopsis._num_buckets
     )
-
-
-def pack_register_rows(
-    synopses: Sequence["LogLogCounter | None"], num_buckets: int
-) -> np.ndarray:
-    """Stack counters into a ``(C, m)`` uint8 register matrix.
-
-    ``None`` entries become all-zero rows (the empty counter) so row
-    indices stay aligned with the candidate list.
-    """
-    rows = np.zeros((len(synopses), num_buckets), dtype=np.uint8)
-    for index, synopsis in enumerate(synopses):
-        if synopsis is not None:
-            rows[index] = pack_register_row(synopsis)
-    return rows
 
 
 def loglog_rows(

@@ -54,7 +54,6 @@ __all__ = [
     "MIPS_MODULUS",
     "BITS_PER_POSITION",
     "pack_minima_row",
-    "pack_minima_rows",
     "batch_match_counts",
 ]
 
@@ -92,21 +91,6 @@ def pack_minima_row(synopsis: "MinWisePermutations") -> np.ndarray:
     return np.fromiter(
         synopsis._minima, dtype=np.int64, count=len(synopsis._minima)
     )
-
-
-def pack_minima_rows(
-    synopses: Sequence["MinWisePermutations | None"], num_permutations: int
-) -> np.ndarray:
-    """Stack MIPs vectors into a ``(C, N)`` int64 matrix.
-
-    ``None`` entries become all-sentinel rows (the empty synopsis), so
-    row indices stay aligned with the candidate list.
-    """
-    rows = np.full((len(synopses), num_permutations), MIPS_MODULUS, dtype=np.int64)
-    for index, synopsis in enumerate(synopses):
-        if synopsis is not None:
-            rows[index] = pack_minima_row(synopsis)
-    return rows
 
 
 def batch_match_counts(rows: np.ndarray, reference_row: np.ndarray) -> np.ndarray:

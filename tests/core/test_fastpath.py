@@ -1,11 +1,12 @@
-"""Tests for the vectorized routing fast path.
+"""Tests for the vectorized routing kernels.
 
-The contract is strict: for every supported configuration the fast path
-must produce plans *bit-identical* to the naive Select-Best-Peer loop —
-same peers in the same order with equal quality and novelty floats —
-while never performing more novelty evaluations than the naive loop
-(plus the one absorb-time recompute per round).  Unsupported
-configurations must fall back to the naive loop transparently.
+The contract is strict: for every supported configuration the kernels
+over the directory's packed columns must produce plans *bit-identical*
+to the naive Select-Best-Peer loop — same peers in the same order with
+equal quality and novelty floats — while never performing more novelty
+evaluations than the naive loop (plus the one absorb-time recompute per
+round).  Unsupported configurations must fall back to the naive loop
+transparently.
 """
 
 import random
@@ -22,7 +23,8 @@ from repro.core.fastpath import (
     RoutingStats,
     _argmax_with_ties,
     _BloomColumn,
-    fast_rank_detailed,
+    _matrix_cardinalities,
+    column_rank_detailed,
 )
 from repro.core.histogram_routing import HistogramAggregation
 from repro.core.iqn import IQNRouter
@@ -37,11 +39,16 @@ from repro.synopses.bloom import (
 )
 from repro.synopses.columnstore import PeerIdTable
 from repro.synopses.factory import SynopsisSpec
+from repro.synopses.mips import MinWisePermutations
 
 SPEC_LABELS = ("mips-32", "bf-1024", "hs-16", "ll-64")
 AGGREGATIONS = (PerPeerAggregation, PerTermAggregation)
 AGGREGATION_IDS = ("peer", "term")
-ATTACH_IDS = ("obj", "col")
+#: How the posts are stored: "obj" keeps the caller's Post objects, so
+#: the oracle scores the synopses as built; "col" keeps only the packed
+#: columns, so the oracle scores synopses decoded from them.  The
+#: kernels read the columns either way.
+STORE_IDS = ("obj", "col")
 TERMS = ("apple", "pear")
 
 
@@ -53,21 +60,21 @@ def make_context(
     num_peers=30,
     universe=2500,
     terms=TERMS,
-    shared_table=False,
+    retain=True,
 ):
     """A synthetic directory snapshot with clustered, overlapping peers.
 
     Peers draw most documents from a per-peer hot region plus a uniform
     tail, so collections overlap heavily — the regime where the
     reference-synopsis discount actually reorders the plan and any
-    divergence between the two implementations would surface.  With
-    ``shared_table`` the lists share one interned peer table, so the
-    fast path attaches to the packed columns; otherwise it packs the
-    per-peer synopsis objects.
+    divergence between the two implementations would surface.  The
+    lists share one interned peer table, as a directory's do, so the
+    kernels attach to the packed columns; ``retain`` is passed to
+    ``PeerList.add`` (see ``STORE_IDS``).
     """
     rng = random.Random(seed)
     spec = SynopsisSpec.parse(spec_label)
-    table = PeerIdTable() if shared_table else None
+    table = PeerIdTable()
     peer_lists = {term: PeerList(term=term, peer_table=table) for term in terms}
     for i in range(num_peers):
         peer_id = f"p{i:03d}"
@@ -93,7 +100,8 @@ def make_context(
                         avg_score=rng.random() / 2,
                         term_space_size=rng.randrange(50, 400),
                         synopsis=spec.build(term_ids),
-                    )
+                    ),
+                    retain=retain,
                 )
     seed_ids = frozenset(rng.randrange(0, universe) for _ in range(80))
     initiator = LocalView(
@@ -239,13 +247,10 @@ class TestFallback:
         assert fast_stats.mode == "naive"
         assert plan_rows(plan_fast) == plan_rows(plan_naive)
 
-    def test_fast_rank_detailed_raises_for_unknown_strategy(self):
+    def test_column_rank_detailed_raises_for_unknown_strategy(self):
         context = make_context(0)
-        qualities = {c.peer_id: 1.0 for c in context.candidates()}
         with pytest.raises(FastPathUnsupported):
-            fast_rank_detailed(
-                context, HistogramAggregation(), qualities, MaxPeers(5), 5
-            )
+            column_rank_detailed(context, HistogramAggregation(), MaxPeers(5), 5)
 
     def test_mixed_synopsis_parameters_fall_back(self):
         context = make_context(8, spec_label="mips-32")
@@ -300,11 +305,11 @@ class TestRoutingStats:
         assert router.last_stats.mode == "empty"
         assert router.last_stats.candidates == 0
 
-    @pytest.mark.parametrize("shared_table", (False, True), ids=ATTACH_IDS)
+    @pytest.mark.parametrize("retain", (True, False), ids=STORE_IDS)
     @pytest.mark.parametrize("aggregation_cls", AGGREGATIONS, ids=AGGREGATION_IDS)
     @pytest.mark.parametrize("spec_label", SPEC_LABELS)
     def test_evals_within_naive_plus_rounds(
-        self, spec_label, aggregation_cls, shared_table
+        self, spec_label, aggregation_cls, retain
     ):
         # The driver scores every candidate once, then re-evaluates only
         # rows the last absorb touched, plus one absorb-time recompute
@@ -314,7 +319,7 @@ class TestRoutingStats:
             spec_label=spec_label,
             num_peers=80,
             universe=8000,
-            shared_table=shared_table,
+            retain=retain,
         )
         naive = IQNRouter(aggregation_cls(), fast_path=False)
         fast = IQNRouter(aggregation_cls())
@@ -322,7 +327,6 @@ class TestRoutingStats:
         fast.rank(make_context(**args), 25)
         stats = fast.last_stats
         assert stats.mode == "incremental"
-        assert stats.attach == ("columns" if shared_table else "objects")
         assert stats.rounds == naive.last_stats.rounds
         # Both report the same hypothetical naive workload.
         assert stats.naive_evaluations == naive.last_stats.naive_evaluations
@@ -358,12 +362,12 @@ class TestRoutingStats:
 class TestBloomTier:
     """Bloom runs on the shared exact-invalidation driver."""
 
-    @pytest.mark.parametrize("shared_table", (False, True), ids=ATTACH_IDS)
+    @pytest.mark.parametrize("retain", (True, False), ids=STORE_IDS)
     @pytest.mark.parametrize("aggregation_cls", AGGREGATIONS, ids=AGGREGATION_IDS)
     @pytest.mark.parametrize("conjunctive", (False, True), ids=["disj", "conj"])
     @pytest.mark.parametrize("seed", (11, 12))
     def test_plans_bit_identical_to_naive(
-        self, seed, conjunctive, aggregation_cls, shared_table
+        self, seed, conjunctive, aggregation_cls, retain
     ):
         args = dict(
             seed=seed,
@@ -371,7 +375,7 @@ class TestBloomTier:
             conjunctive=conjunctive,
             num_peers=60,
             terms=("apple", "pear", "plum"),
-            shared_table=shared_table,
+            retain=retain,
         )
         naive = IQNRouter(aggregation_cls(), fast_path=False)
         fast = IQNRouter(aggregation_cls())
@@ -379,7 +383,6 @@ class TestBloomTier:
         plan_fast = fast.rank_detailed(make_context(**args), 20)
         assert plan_rows(plan_fast) == plan_rows(plan_naive)
         assert fast.last_stats.mode == "incremental"
-        assert fast.last_stats.attach == ("columns" if shared_table else "objects")
 
     id_sets = st.sets(st.integers(min_value=0, max_value=3_000), max_size=120)
 
@@ -399,7 +402,8 @@ class TestBloomTier:
         active = np.array([ok for _, ok in candidates], dtype=bool)
         cards = [float(len(ids)) for ids, _ in candidates]
         reference = build(seed_ids)
-        column = _BloomColumn.from_objects(synopses, cards, active, reference)
+        rows = np.stack([pack_bit_row(s.raw_bits, 256) for s in synopses])
+        column = _BloomColumn(rows, cards, active, reference)
 
         def popcounts(ref):
             return [(s.raw_bits & ~ref.raw_bits).bit_count() for s in synopses]
@@ -462,3 +466,22 @@ class TestTieBreak:
         qualities = np.array([0.0, -0.0, 0.0], dtype=np.float64)
         alive = np.ones(3, dtype=bool)
         assert _argmax_with_ties(scores, qualities, ["b", "c", "a"], alive) == 1
+
+
+class TestMatrixCardinalities:
+    """Packed-row estimates equal the scalar estimator bit for bit."""
+
+    @pytest.mark.parametrize("length", (8, 31, 64, 128))
+    def test_mips_rows_match_the_scalar_estimator(self, length):
+        spec = SynopsisSpec(kind="mips", parameter=length, seed=3)
+        rng = random.Random(length)
+        id_sets = [[]] + [
+            [rng.randrange(10**6) for _ in range(rng.randrange(0, 300))]
+            for _ in range(40)
+        ] + [[]]
+        offsets = np.cumsum([0] + [len(ids) for ids in id_sets])
+        rows = spec.build_rows([x for ids in id_sets for x in ids], offsets)
+        estimates = _matrix_cardinalities(rows, spec.build(()))
+        for row, estimate in zip(rows, estimates.tolist()):
+            scalar = MinWisePermutations(row.tolist(), spec.seed)
+            assert estimate.hex() == scalar.estimate_cardinality().hex()

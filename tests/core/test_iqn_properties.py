@@ -15,6 +15,7 @@ from repro.core.iqn import IQNRouter
 from repro.datasets.queries import Query
 from repro.minerva.posts import PeerList, Post
 from repro.routing.base import LocalView, RoutingContext
+from repro.synopses.columnstore import PeerIdTable
 from repro.synopses.factory import SynopsisSpec
 
 SPEC = SynopsisSpec.parse("mips-16")
@@ -33,8 +34,11 @@ peer_blueprints = st.lists(
 
 
 def build_context(blueprints, *, conjunctive=False, seed_docs=frozenset()):
-    list_a = PeerList(term="a")
-    list_b = PeerList(term="b")
+    # One interned peer table, as a directory's lists share, so the
+    # routing kernels attach to the packed columns.
+    table = PeerIdTable()
+    list_a = PeerList(term="a", peer_table=table)
+    list_b = PeerList(term="b", peer_table=table)
     for index, (a_start, a_size, b_start, b_size) in enumerate(blueprints):
         peer_id = f"p{index:02d}"
         ids_a = list(range(a_start * 100, a_start * 100 + a_size))
@@ -160,7 +164,7 @@ class TestFastPathEquivalence:
     @given(peer_blueprints, st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_fast_plan_matches_naive(self, blueprints, conjunctive):
-        """The vectorized fast path is an *exact* reimplementation: for
+        """The vectorized kernels are an *exact* reimplementation: for
         arbitrary networks the plans agree peer for peer, float for
         float."""
         naive = IQNRouter(fast_path=False)
@@ -170,6 +174,7 @@ class TestFastPathEquivalence:
         assert [(s.peer_id, s.quality, s.novelty) for s in plan_fast] == [
             (s.peer_id, s.quality, s.novelty) for s in plan_naive
         ]
+        assert fast.last_stats.mode != "naive"
 
 
 class TestNoveltyMonotonicity:

@@ -16,27 +16,27 @@ from repro.synopses.bloom import (
     batch_difference_popcounts,
     cardinality_from_popcount,
     pack_bit_row,
-    pack_bit_rows,
     popcount_cardinality_table,
 )
+from repro.synopses.columnstore import LogLogColumn, MipsColumn
 from repro.synopses.hashsketch import (
     HashSketch,
     cardinality_from_rho_sum,
     first_zero_positions,
-    pack_bitmap_rows,
+    pack_bitmap_row,
     rho_sum_cardinality_table,
 )
 from repro.synopses.loglog import (
     LogLogCounter,
     cardinality_from_register_stats,
-    pack_register_rows,
+    pack_register_row,
     register_cardinality_tables,
 )
 from repro.synopses.mips import (
     MIPS_MODULUS,
     MinWisePermutations,
     batch_match_counts,
-    pack_minima_rows,
+    pack_minima_row,
 )
 
 
@@ -58,7 +58,7 @@ class TestBloomKernels:
 
     def test_pack_roundtrip(self):
         filters = self.filters(0)
-        rows = pack_bit_rows([f.raw_bits for f in filters], self.M)
+        rows = np.stack([pack_bit_row(f.raw_bits, self.M) for f in filters])
         assert rows.shape == (len(filters), (self.M + 63) // 64)
         for row, synopsis in zip(rows, filters):
             rebuilt = 0
@@ -71,7 +71,9 @@ class TestBloomKernels:
         reference = filters[0]
         for other in filters[1:]:
             reference = reference.union(other)
-        rows = pack_bit_rows([f.raw_bits for f in self.filters(2)], self.M)
+        rows = np.stack(
+            [pack_bit_row(f.raw_bits, self.M) for f in self.filters(2)]
+        )
         reference_row = pack_bit_row(reference.raw_bits, self.M)
         popcounts = batch_difference_popcounts(rows, reference_row)
         for synopsis, popcount in zip(self.filters(2), popcounts.tolist()):
@@ -106,17 +108,22 @@ class TestMipsKernels:
                 for s in random_sets(seed)]
 
     def test_pack_rows_sentinel_for_none(self):
-        synopses = self.synopses(0)
-        rows = pack_minima_rows([synopses[0], None, synopses[1]], self.N)
-        assert (rows[1] == MIPS_MODULUS).all()
+        # A peer without a synopsis gathers as the column's neutral row,
+        # which is the empty synopsis's packed row: all sentinels.
+        empty = pack_minima_row(
+            MinWisePermutations.from_ids([], num_permutations=self.N)
+        )
+        neutral = MipsColumn(self.N, 0).neutral_matrix(1)[0]
+        assert (empty == MIPS_MODULUS).all()
+        assert (neutral == empty).all()
 
     def test_batch_match_counts_match_resemblance(self):
         synopses = self.synopses(1)
         reference = synopses[0]
         for other in synopses[1:3]:
             reference = reference.union(other)
-        rows = pack_minima_rows(synopses, self.N)
-        reference_row = pack_minima_rows([reference], self.N)[0]
+        rows = np.stack([pack_minima_row(s) for s in synopses])
+        reference_row = pack_minima_row(reference)
         matches = batch_match_counts(rows, reference_row)
         for synopsis, count in zip(synopses, matches.tolist()):
             if reference.is_empty:
@@ -137,7 +144,7 @@ class TestHashSketchKernels:
 
     def test_first_zero_positions_match_scalar(self):
         synopses = self.synopses(0)
-        rows = pack_bitmap_rows(synopses, self.M)
+        rows = np.stack([pack_bitmap_row(s) for s in synopses])
         positions = first_zero_positions(rows, self.L)
         for synopsis, row in zip(synopses, positions.tolist()):
             for bucket, position in enumerate(row):
@@ -151,7 +158,7 @@ class TestHashSketchKernels:
         table = rho_sum_cardinality_table(self.M, self.L)
         assert len(table) == self.M * self.L + 1
         for synopsis in self.synopses(1):
-            rows = pack_bitmap_rows([synopsis], self.M)
+            rows = np.stack([pack_bitmap_row(synopsis)])
             rho_sum = int(first_zero_positions(rows, self.L).sum())
             assert table[rho_sum] == synopsis.estimate_cardinality()
 
@@ -171,7 +178,7 @@ class TestLogLogKernels:
     def test_register_tables_match_estimator(self):
         linear, extrapolation = register_cardinality_tables(self.M)
         for synopsis in self.synopses(0):
-            rows = pack_register_rows([synopsis], self.M)
+            rows = np.stack([pack_register_row(synopsis)])
             empty = int((rows[0] == 0).sum())
             register_sum = int(rows[0].sum(dtype=np.int64))
             expected = synopsis.estimate_cardinality()
@@ -191,9 +198,16 @@ class TestLogLogKernels:
         sparse = cardinality_from_register_stats(self.M - 1, 3, self.M)
         assert dense > sparse
 
-    def test_pack_register_rows_none_is_empty(self):
+    def test_no_synopsis_row_is_the_empty_counter(self):
         synopsis = LogLogCounter.from_ids(range(100), num_buckets=self.M)
-        rows = pack_register_rows([None, synopsis], self.M)
+        rows = np.stack(
+            [
+                LogLogColumn(self.M, 0).neutral_matrix(1)[0],
+                pack_register_row(synopsis),
+            ]
+        )
+        empty = pack_register_row(LogLogCounter.from_ids([], num_buckets=self.M))
+        assert (rows[0] == empty).all()
         assert (rows[0] == 0).all()
         assert rows.dtype == np.uint8
 

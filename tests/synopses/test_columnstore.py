@@ -1,10 +1,11 @@
 """The packed column store: round-trips, invariants, and bit-identical
-routing plans against the object-backed paths.
+routing plans against the naive oracle.
 
 The columnar representation is only admissible because it is *exact*:
 ``materialize(pack(s)) == s`` for every family, and a routing plan
 computed from the stored matrices equals — float for float — the plan
-the per-peer object paths produce.  These tests pin both properties.
+the naive loop computes from per-peer synopsis objects.  These tests
+pin both properties.
 """
 
 import pickle
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import PerPeerAggregation, PerTermAggregation
+from repro.core.fastpath import column_rank_detailed
 from repro.core.iqn import IQNRouter
+from repro.core.stopping import MaxPeers
 from repro.datasets.queries import Query
 from repro.minerva.posts import PeerList, Post
 from repro.routing.base import LocalView, RoutingContext
@@ -403,7 +406,8 @@ class TestFromRows:
 
 
 def seeded_lists(spec, *, peers=50, terms=("alpha", "beta", "gamma"), seed=42):
-    """One column-backed and one equal object-era directory snapshot."""
+    """One directory snapshot on a shared peer table and one equal copy
+    whose lists each keep a private table and the caller's objects."""
     rng = random.Random(seed)
     table = PeerIdTable()
     shared = {t: PeerList(term=t, peer_table=table) for t in terms}
@@ -430,8 +434,9 @@ def seeded_lists(spec, *, peers=50, terms=("alpha", "beta", "gamma"), seed=42):
     for term in terms:
         for post in posts_by_term[term]:
             shared[term].add(post, retain=False)
-    # Same content on per-list private tables: the columnar tier cannot
-    # attach (tables differ), so routing exercises the object paths.
+    # Same content on per-list private tables: the column view cannot
+    # attach (tables differ), so routing runs the naive loop over the
+    # caller's Post objects.
     private = {t: PeerList(term=t) for t in terms}
     for term in terms:
         for post in posts_by_term[term]:
@@ -469,7 +474,7 @@ def plan_rows(plan):
 
 
 class TestBitIdenticalRouting:
-    """Column-backed plans equal object-fastpath and naive plans exactly."""
+    """Column-backed plans equal the naive oracle's plans exactly."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("conjunctive", [False, True], ids=["disj", "conj"])
@@ -479,55 +484,69 @@ class TestBitIdenticalRouting:
         ids=["perpeer", "perterm"],
     )
     def test_three_tiers_agree(self, spec, conjunctive, make_aggregation):
+        # The kernels over the packed columns, the oracle over synopses
+        # decoded from those columns, and the oracle over the caller's
+        # objects as built all produce one plan.
         shared, private = seeded_lists(spec)
         columnar_router = IQNRouter(make_aggregation())
         columnar = columnar_router.rank_detailed(
             make_context(shared, spec, conjunctive=conjunctive), 12
         )
         assert columnar_router.last_stats is not None
-        assert columnar_router.last_stats.attach == "columns"
-        object_router = IQNRouter(make_aggregation())
-        object_plan = object_router.rank_detailed(
-            make_context(private, spec, conjunctive=conjunctive), 12
-        )
-        assert object_router.last_stats is not None
-        assert object_router.last_stats.attach == "objects"
+        assert columnar_router.last_stats.mode == "incremental"
         naive_router = IQNRouter(make_aggregation(), fast_path=False)
         naive = naive_router.rank_detailed(
             make_context(shared, spec, conjunctive=conjunctive), 12
         )
         assert naive_router.last_stats is not None
         assert naive_router.last_stats.mode == "naive"
-        assert plan_rows(columnar) == plan_rows(object_plan) == plan_rows(naive)
+        object_plan = IQNRouter(make_aggregation(), fast_path=False).rank_detailed(
+            make_context(private, spec, conjunctive=conjunctive), 12
+        )
+        assert plan_rows(columnar) == plan_rows(naive) == plan_rows(object_plan)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_novelty_only_ranking_agrees(self, spec):
-        shared, private = seeded_lists(spec, seed=9)
+        shared, _ = seeded_lists(spec, seed=9)
         columnar = IQNRouter(quality_weighted=False).rank_detailed(
             make_context(shared, spec), 8
         )
-        object_plan = IQNRouter(quality_weighted=False).rank_detailed(
-            make_context(private, spec), 8
+        naive = IQNRouter(quality_weighted=False, fast_path=False).rank_detailed(
+            make_context(shared, spec), 8
         )
-        assert plan_rows(columnar) == plan_rows(object_plan)
+        assert plan_rows(columnar) == plan_rows(naive)
 
-    def test_stats_counters_match_object_fast_path(self):
+    def test_stats_counters_match_the_oracle(self):
         spec = SPECS[0]
-        shared, private = seeded_lists(spec, seed=3)
+        shared, _ = seeded_lists(spec, seed=3)
         columnar_router = IQNRouter()
         columnar_router.rank_detailed(make_context(shared, spec), 10)
-        object_router = IQNRouter()
-        object_router.rank_detailed(make_context(private, spec), 10)
+        naive_router = IQNRouter(fast_path=False)
+        naive_router.rank_detailed(make_context(shared, spec), 10)
         columnar_stats = columnar_router.last_stats
-        object_stats = object_router.last_stats
-        assert columnar_stats is not None and object_stats is not None
-        assert columnar_stats.mode == object_stats.mode
-        assert columnar_stats.candidates == object_stats.candidates
+        naive_stats = naive_router.last_stats
+        assert columnar_stats is not None and naive_stats is not None
+        assert columnar_stats.mode == "incremental"
+        assert columnar_stats.candidates == naive_stats.candidates
+        assert columnar_stats.rounds == naive_stats.rounds
+        assert columnar_stats.naive_evaluations == naive_stats.naive_evaluations
         assert (
             columnar_stats.novelty_evaluations
-            == object_stats.novelty_evaluations
+            < naive_stats.novelty_evaluations
         )
-        assert columnar_stats.rounds == object_stats.rounds
+
+    def test_private_table_context_routes_naive(self):
+        # Lists on different peer tables are no directory's; the column
+        # view refuses them and the router runs the oracle directly.
+        spec = SPECS[1]
+        shared, private = seeded_lists(spec, seed=5)
+        columnar_router = IQNRouter()
+        columnar = columnar_router.rank_detailed(make_context(shared, spec), 10)
+        private_router = IQNRouter()
+        fallback = private_router.rank_detailed(make_context(private, spec), 10)
+        assert columnar_router.last_stats.mode == "incremental"
+        assert private_router.last_stats.mode == "naive"
+        assert plan_rows(fallback) == plan_rows(columnar)
 
     def test_empty_directory_routes_empty_via_columns(self):
         spec = SPECS[0]
@@ -535,8 +554,12 @@ class TestBitIdenticalRouting:
         lists = {
             t: PeerList(term=t, peer_table=table) for t in ("alpha", "beta")
         }
+        plan, stats = column_rank_detailed(
+            make_context(lists, spec), PerPeerAggregation(), MaxPeers(5), 5
+        )
+        assert plan == []
+        assert stats.mode == "empty"
         router = IQNRouter()
         assert router.rank_detailed(make_context(lists, spec), 5) == []
         assert router.last_stats is not None
-        assert router.last_stats.attach == "columns"
         assert router.last_stats.mode == "empty"

@@ -161,6 +161,26 @@ class TestRouting:
             seeds |= set(view.doc_ids_by_term.values())
         assert sorted(builds, key=sorted) == sorted(seeds, key=sorted)
 
+    def test_one_seed_build_per_networked_query(self, monkeypatch):
+        # The networked path ranks clusters and members in two contexts
+        # too; they share one seed dict, so the seed is built once.
+        engine = make_superpeer_engine()
+        engine.topology.ensure_clusters()
+        builds = []
+        original = SynopsisSpec.build
+
+        def counting(spec, ids):
+            builds.append(frozenset(ids))
+            return original(spec, ids)
+
+        monkeypatch.setattr(SynopsisSpec, "build", counting)
+        networked = engine.run_query_networked(
+            QUERY, IQNRouter(), initiator_id=INITIATOR, max_peers=3
+        )
+        assert networked.outcome.selected
+        assert networked.clusters_ranked
+        assert len(builds) == 1
+
     def test_networked_matches_passive_without_faults(self):
         passive = make_superpeer_engine().run_query(
             QUERY, IQNRouter(), initiator_id=INITIATOR, max_peers=3
