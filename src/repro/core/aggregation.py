@@ -251,10 +251,14 @@ class PerTermAggregation(AggregationStrategy):
         )
 
     def novelty(self, state: PerTermState, candidate: CandidatePeer) -> float:
-        return sum(
-            self._term_novelty(state, candidate, term)
-            for term in state.context.query.terms
-        )
+        # Plain left-to-right addition in term order, as the routing
+        # kernels add per-term novelty columns.  Not ``sum()``: from
+        # Python 3.12 it compensates float rounding, so its total can
+        # differ from the kernels' in the last bits.
+        total = 0.0
+        for term in state.context.query.terms:
+            total += self._term_novelty(state, candidate, term)
+        return total
 
     def absorb(self, state: PerTermState, candidate: CandidatePeer) -> None:
         for term in state.context.query.terms:

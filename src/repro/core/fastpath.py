@@ -58,7 +58,7 @@ from ..synopses.columnstore import (
     LogLogColumn,
     MipsColumn,
     SynopsisColumn,
-    column_for,
+    column_layout,
 )
 from ..synopses.bloom import (
     BloomFilter,
@@ -147,7 +147,7 @@ class RoutingStats:
 # combined query synopses, the per-term strategy one kernel per query
 # term.  The rows are gathered from the directory's column store, and
 # the adapters below have already matched the reference to the stored
-# family and parameters (``column_for``), so a constructor only packs
+# family and parameters (``column_layout``), so a constructor only packs
 # the reference and computes its statistics.
 #
 # Row ``i`` of a kernel's matrix is what Aggregate-Synopses unions into
@@ -425,25 +425,30 @@ _KERNELS: dict[type[SynopsisColumn], type[_Kernel]] = {
 }
 
 
-def _family(reference: Any) -> tuple[SynopsisColumn, Any]:
-    """An empty store column matching ``reference``, and its kernel.
+def _family(
+    reference: Any,
+) -> tuple[type[SynopsisColumn], tuple[int, ...], type[_Kernel]]:
+    """The store column class and parameters matching ``reference``,
+    and its kernel.
 
-    ``column_for`` refuses exactly what the kernels cannot represent:
+    ``column_layout`` refuses exactly what the kernels cannot represent:
     subclassed or unknown families and >64-bit sketch bitmaps.
     """
-    template = column_for(reference, 1)
-    if template is None:
+    layout = column_layout(reference)
+    if layout is None:
         raise FastPathUnsupported(
             f"no vectorized kernel for {type(reference).__name__}"
         )
-    return template, _KERNELS[type(template)]
+    column_cls, params = layout
+    return column_cls, params, _KERNELS[column_cls]
 
 
 def _term_matrix(
     column: SynopsisColumn | None,
     rows: np.ndarray,
     mask: np.ndarray,
-    template: SynopsisColumn,
+    column_cls: type[SynopsisColumn],
+    params: tuple[int, ...],
     count: int,
 ) -> np.ndarray:
     """One term's stored column gathered into candidate order.
@@ -452,8 +457,9 @@ def _term_matrix(
     the term, so every candidate row is neutral.
     """
     if column is None:
-        return template.neutral_matrix(count)
-    if not template.matches(column):
+        empty = column_cls(*params, capacity=1)  # type: ignore[call-arg]
+        return empty.neutral_matrix(count)
+    if type(column) is not column_cls or column.params != params:
         raise FastPathUnsupported(
             "stored column family or parameters do not match the reference"
         )
@@ -518,8 +524,8 @@ def _matrix_cardinalities(rows: np.ndarray, reference: Any) -> np.ndarray:
     if type(reference) is MinWisePermutations:
         length = reference.num_permutations
         fractions = rows / float(MIPS_MODULUS)
-        # Sequential accumulation in position order — the scalar
-        # estimator's sum() order — keeps float addition bit-identical.
+        # Left-to-right accumulation in position order, as the scalar
+        # estimator adds, keeps float addition bit-identical.
         total = np.add.accumulate(fractions, axis=1)[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             estimate = np.where(
@@ -602,7 +608,7 @@ def _per_peer_columns(
     """One kernel over each candidate's combined query synopsis."""
     state = aggregation.start(context)
     reference = state.reference
-    template, kernel_cls = _family(reference)
+    column_cls, params, kernel_cls = _family(reference)
     count = view.count
     mats: list[np.ndarray] = []
     syn_count = np.zeros(count, dtype=np.int64)
@@ -613,7 +619,8 @@ def _per_peer_columns(
                 gather.columns.synopsis_column,
                 gather.rows,
                 gather.has_synopsis,
-                template,
+                column_cls,
+                params,
                 count,
             )
         )
@@ -636,7 +643,7 @@ def _per_peer_columns(
         active &= conj_ok
         # A conjunctive candidate missing a term's synopsis combines to
         # nothing, so it must absorb as the neutral payload.
-        combined[~conj_ok] = template.neutral
+        combined[~conj_ok] = column_cls.neutral
     cards = np.where(active, cards, 0.0)
     return [kernel_cls(combined, cards, active, reference)], [
         state.reference_cardinality
@@ -653,7 +660,7 @@ def _per_term_columns(
     columns: list[Any] = []
     for gather in view.gathers:
         reference = state.references[gather.term]
-        template, kernel_cls = _family(reference)
+        column_cls, params, kernel_cls = _family(reference)
         # Posts with a synopsis but ``cdf == 0`` score nothing, yet the
         # naive absorb still unions their synopsis in.
         active = gather.has_synopsis & (gather.cdf != 0)
@@ -661,7 +668,8 @@ def _per_term_columns(
             gather.columns.synopsis_column,
             gather.rows,
             gather.has_synopsis,
-            template,
+            column_cls,
+            params,
             view.count,
         )
         cards = np.where(active, gather.cdf.astype(np.float64), 0.0)

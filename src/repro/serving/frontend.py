@@ -371,6 +371,7 @@ class ServingFrontend:
                 max_peers=self.max_peers,
                 successor_fallback=self.successor_fallback,
                 seed_synopses=seed_synopses,
+                spec=self._caching_spec,
             )
             peer_lists, scoped_failed = scoped[0], scoped[1]
             failed_terms = list(scoped_failed)

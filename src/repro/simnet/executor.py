@@ -663,6 +663,7 @@ class SimNetExecutor:
         max_peers: int,
         successor_fallback: bool,
         seed_synopses: SeedSynopses,
+        spec: SynopsisSpec | None = None,
     ) -> Generator[
         SimFuture,
         Any,
@@ -685,9 +686,10 @@ class SimNetExecutor:
         RPC per winner).  An unreachable super-peer degrades to the full
         flat fetch (counted as a topology fallback); a winning cluster
         whose member fetch never answers is skipped (also counted).
-        Cluster ranking collects the seed synopses it builds in
-        ``seed_synopses``; pass the same dict to
-        :meth:`make_routing_context` so phase two reuses them.
+        Cluster ranking builds its seed synopses with ``spec`` (the
+        engine's by default) and collects them in ``seed_synopses``;
+        pass the same dict and spec to :meth:`make_routing_context` so
+        phase two reuses them.
         Returns ``(peer_lists, failed_terms, directory_attempts,
         directory_fallbacks, clusters_ranked, super_fetches,
         topology_fallbacks)``.
@@ -735,6 +737,7 @@ class SimNetExecutor:
             conjunctive=conjunctive,
             budget=topology.resolve_cluster_budget(max_peers),
             seed_synopses=seed_synopses,
+            spec=spec,
         )
         member_replies: list[RpcResult] = yield gather(
             [

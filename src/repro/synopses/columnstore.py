@@ -50,6 +50,7 @@ __all__ = [
     "LogLogColumn",
     "TermColumns",
     "column_for",
+    "column_layout",
 ]
 
 #: Initial row capacity of every column; grows by doubling.
@@ -421,33 +422,49 @@ class LogLogColumn(SynopsisColumn):
         return self.num_buckets * REGISTER_BITS
 
 
-def column_for(
-    synopsis: SetSynopsis, capacity: int = _INITIAL_CAPACITY
-) -> SynopsisColumn | None:
-    """A fresh column matching ``synopsis``'s exact family and parameters.
+def column_layout(
+    synopsis: SetSynopsis,
+) -> tuple[type[SynopsisColumn], tuple[int, ...]] | None:
+    """The column class and :attr:`~SynopsisColumn.params` matching
+    ``synopsis``'s exact family and parameters.
 
     Returns ``None`` for families the packed matrices cannot represent
     (subclasses, >64-bit sketch bitmaps, unknown types); those synopses
     stay as per-peer objects in :attr:`TermColumns._foreign`.
     """
     if isinstance(synopsis, BloomFilter) and type(synopsis) is BloomFilter:
-        return BloomColumn(
-            synopsis.num_bits, synopsis.num_hashes, synopsis.seed, capacity
+        return BloomColumn, (
+            synopsis.num_bits,
+            synopsis.num_hashes,
+            synopsis.seed,
         )
     if (
         isinstance(synopsis, MinWisePermutations)
         and type(synopsis) is MinWisePermutations
     ):
-        return MipsColumn(synopsis.num_permutations, synopsis.seed, capacity)
+        return MipsColumn, (synopsis.num_permutations, synopsis.seed)
     if isinstance(synopsis, HashSketch) and type(synopsis) is HashSketch:
         if synopsis.bitmap_length > 64:
             return None
-        return HashSketchColumn(
-            synopsis.num_bitmaps, synopsis.bitmap_length, synopsis.seed, capacity
+        return HashSketchColumn, (
+            synopsis.num_bitmaps,
+            synopsis.bitmap_length,
+            synopsis.seed,
         )
     if isinstance(synopsis, LogLogCounter) and type(synopsis) is LogLogCounter:
-        return LogLogColumn(synopsis.num_buckets, synopsis.seed, capacity)
+        return LogLogColumn, (synopsis.num_buckets, synopsis.seed)
     return None
+
+
+def column_for(
+    synopsis: SetSynopsis, capacity: int = _INITIAL_CAPACITY
+) -> SynopsisColumn | None:
+    """A fresh column matching ``synopsis`` (see :func:`column_layout`)."""
+    layout = column_layout(synopsis)
+    if layout is None:
+        return None
+    column_cls, params = layout
+    return column_cls(*params, capacity=capacity)  # type: ignore[call-arg]
 
 
 class TermColumns:

@@ -235,7 +235,12 @@ class MinWisePermutations(SetSynopsis):
         if self.is_empty:
             estimate = 0.0
         else:
-            total = sum(m / MIPS_MODULUS for m in self._minima)
+            # Left-to-right addition, as the batch estimator in
+            # ``repro.core.fastpath`` accumulates each row; ``sum()``
+            # compensates float rounding from Python 3.12 on.
+            total = 0.0
+            for minimum in self._minima:
+                total += minimum / MIPS_MODULUS
             estimate = (
                 float("inf")
                 if total <= 0.0

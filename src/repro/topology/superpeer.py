@@ -61,6 +61,7 @@ from .clustering import (
 
 if TYPE_CHECKING:
     from ..net.latency import LatencyProfile
+    from ..synopses.factory import SynopsisSpec
 
 __all__ = ["SuperPeerTopology"]
 
@@ -435,11 +436,14 @@ class SuperPeerTopology(RoutingTopology):
         conjunctive: bool = False,
         budget: int = DEFAULT_CLUSTER_BUDGET,
         seed_synopses: SeedSynopses | None = None,
+        spec: SynopsisSpec | None = None,
     ) -> list[str]:
         """Phase one: IQN over the merged cluster synopses.
 
         ``seed_synopses`` collects the seed synopses this phase builds,
-        so phase two can reuse them (see :meth:`assemble`).
+        so phase two can reuse them (see :meth:`assemble`).  ``spec``
+        overrides the host's synopsis spec for those builds; phase two
+        must use the same spec to find them.
         """
         clusters = self.ensure_clusters()
         if not clusters:
@@ -449,7 +453,7 @@ class SuperPeerTopology(RoutingTopology):
             query=query,
             peer_lists=cluster_lists,
             num_peers=len(clusters),
-            spec=self.host.spec,
+            spec=self.host.spec if spec is None else spec,
             initiator=initiator,
             conjunctive=conjunctive,
             seed_synopses={} if seed_synopses is None else seed_synopses,

@@ -9,6 +9,8 @@ round).  Unsupported configurations must fall back to the naive loop
 transparently.
 """
 
+import builtins
+import math
 import random
 
 import numpy as np
@@ -50,6 +52,28 @@ AGGREGATION_IDS = ("peer", "term")
 #: kernels read the columns either way.
 STORE_IDS = ("obj", "col")
 TERMS = ("apple", "pear")
+
+
+@pytest.fixture
+def correctly_rounded_sum(monkeypatch):
+    """Install a ``sum`` whose float totals are correctly rounded.
+
+    From Python 3.12 the builtin ``sum`` compensates float rounding, so
+    its totals can differ in the last bits from the kernels' left-to-
+    right numpy additions.  Under this stand-in (``math.fsum`` for any
+    sum with a float in it) an oracle that adds floats with ``sum()``
+    diverges from the kernels on every Python version, not just 3.12+.
+    """
+    original = builtins.sum
+
+    def fsum_when_floats(iterable, /, start=0):
+        items = [start, *iterable]
+        numeric = all(type(x) in (int, float, bool) for x in items)
+        if numeric and any(type(x) is float for x in items):
+            return math.fsum(items)
+        return original(items[1:], start)
+
+    monkeypatch.setattr(builtins, "sum", fsum_when_floats)
 
 
 def make_context(
@@ -473,6 +497,16 @@ class TestMatrixCardinalities:
 
     @pytest.mark.parametrize("length", (8, 31, 64, 128))
     def test_mips_rows_match_the_scalar_estimator(self, length):
+        self.check_mips_rows(length)
+
+    @pytest.mark.parametrize("length", (31, 128))
+    def test_mips_rows_do_not_depend_on_sum(
+        self, length, correctly_rounded_sum
+    ):
+        self.check_mips_rows(length)
+
+    @staticmethod
+    def check_mips_rows(length):
         spec = SynopsisSpec(kind="mips", parameter=length, seed=3)
         rng = random.Random(length)
         id_sets = [[]] + [
@@ -485,3 +519,19 @@ class TestMatrixCardinalities:
         for row, estimate in zip(rows, estimates.tolist()):
             scalar = MinWisePermutations(row.tolist(), spec.seed)
             assert estimate.hex() == scalar.estimate_cardinality().hex()
+
+
+class TestFloatAdditionOrder:
+    """The oracle adds floats in the kernels' order, not via ``sum()``."""
+
+    @pytest.mark.parametrize("spec_label", SPEC_LABELS)
+    @pytest.mark.parametrize("aggregation_cls", AGGREGATIONS, ids=AGGREGATION_IDS)
+    def test_plans_do_not_depend_on_sum(
+        self, spec_label, aggregation_cls, correctly_rounded_sum
+    ):
+        plan_naive, plan_fast, _, fast_stats = rank_both(
+            dict(seed=0, spec_label=spec_label, terms=("apple", "pear", "plum")),
+            dict(aggregation=aggregation_cls()),
+        )
+        assert plan_rows(plan_fast) == plan_rows(plan_naive)
+        assert fast_stats.mode == "incremental"

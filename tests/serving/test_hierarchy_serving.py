@@ -173,6 +173,29 @@ class TestHierarchicalServing:
         assert future.value.queried == reference.selected
         assert future.value.topk == tuple(reference.merged[: KNOBS["k"]])
 
+    def test_one_seed_build_per_cold_serve(self, monkeypatch):
+        # Cluster ranking and member ranking both seed from the
+        # initiator through the front end's caching spec, so a cold
+        # served query builds its seed once.
+        engine = make_super_engine()
+        engine.topology.ensure_clusters()
+        front = ServingFrontend(
+            SimNetExecutor(engine, seed=3), IQNRouter(), **KNOBS
+        )
+        builds = []
+        original = SynopsisSpec.build
+
+        def counting(spec, ids):
+            builds.append(frozenset(ids))
+            return original(spec, ids)
+
+        monkeypatch.setattr(SynopsisSpec, "build", counting)
+        future = front.serve(QUERY, initiator_id=INITIATOR)
+        front.run()
+        assert future.value.queried
+        assert front.executor.engine.topology.hierarchical
+        assert len(builds) == 1
+
     def test_hot_serve_skips_super_peer_traffic(self):
         front = ServingFrontend(
             SimNetExecutor(make_super_engine(), seed=3), IQNRouter(), **KNOBS
