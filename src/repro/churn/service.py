@@ -35,16 +35,15 @@ keeps wall-clock calls out of this package.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
 from ..datasets.queries import Query
-from ..minerva.engine import MinervaEngine
+from ..minerva.engine import MinervaEngine, check_query_knobs
 from ..net.latency import LatencyProfile
 from ..parallel.seeding import derive_seed
 from ..routing.base import PeerSelector
-from ..simnet.clock import SimClock
+from ..simnet.clock import SimClock, arrival_times
 from ..simnet.executor import NetworkedQueryOutcome, SimNetExecutor
 from ..simnet.faults import FaultPlan
 from ..simnet.rpc import RetryPolicy
@@ -398,20 +397,18 @@ class ChurnService:
         for selected peers that die mid-query).  Returns one
         :class:`NetworkedQueryOutcome` per query, in submission order.
         """
-        if interarrival_ms <= 0:
-            raise ValueError(
-                f"interarrival_ms must be positive, got {interarrival_ms}"
-            )
-        if arrivals not in ("poisson", "uniform"):
-            raise ValueError(
-                f"arrivals must be poisson or uniform, got {arrivals!r}"
-            )
-        rng = random.Random(
-            derive_seed(self.seed if seed is None else seed, "churn-workload")
+        check_query_knobs(
+            max_peers=max_peers, k=k, peer_k=peer_k, fallback_spares=fallback_spares
+        )
+        times = arrival_times(
+            len(queries),
+            interarrival_ms=interarrival_ms,
+            arrivals=arrivals,
+            seed=derive_seed(self.seed if seed is None else seed, "churn-workload"),
+            start_ms=start_ms,
         )
         futures: list[Any] = []
-        at_ms = start_ms
-        for query in queries:
+        for query, at_ms in zip(queries, times):
             def submit(q: Query = query) -> None:
                 futures.append(
                     self.executor.submit(
@@ -428,12 +425,6 @@ class ChurnService:
                 )
 
             self.executor.clock.schedule_at(at_ms, submit)
-            gap = (
-                rng.expovariate(1.0 / interarrival_ms)
-                if arrivals == "poisson"
-                else interarrival_ms
-            )
-            at_ms += gap
         self.executor.run()
         return [future.value for future in futures]
 

@@ -12,9 +12,22 @@ This is the in-process equivalent of the paper's PC-cluster prototype
   collections with the same scoring scheme — against which relative
   recall is measured (Section 8.1).
 
-A query runs in the paper's three phases: fetch PeerLists from the
-directory, route (any :class:`~repro.routing.base.PeerSelector`), then
-forward to the selected peers and merge their local top-k results.
+The engine also holds the query pipeline's shared stages, which the
+in-process path (:meth:`MinervaEngine.run_query`), the networked path
+(:class:`~repro.simnet.executor.SimNetExecutor`) and the serving path
+(:class:`~repro.serving.frontend.ServingFrontend`) all run:
+
+1. entry — :func:`check_query_knobs` and
+   :meth:`MinervaEngine.resolve_initiator`;
+2. seed — :meth:`MinervaEngine.initiator_seed`, the initiator's local
+   top-k, computed once for the reference synopsis and the merge;
+3. assemble, context, plan — the engine's
+   :class:`~repro.topology.base.RoutingTopology`, with any
+   :class:`~repro.routing.base.PeerSelector`;
+4. forward — here direct calls (:meth:`MinervaEngine.execute`);
+5. measure — :meth:`MinervaEngine.measure`, the recall curve and merge.
+
+Only assembly and forwarding differ between the paths.
 """
 
 from __future__ import annotations
@@ -45,9 +58,9 @@ if TYPE_CHECKING:  # annotation only — avoids core/simnet import cycles
     from ..simnet.executor import NetworkedQueryOutcome
     from ..simnet.faults import FaultPlan
     from ..simnet.rpc import RetryPolicy
-    from ..topology.base import RoutingTopology
+    from ..topology.base import RoutingTopology, TopologyPlan
 
-__all__ = ["QueryOutcome", "MinervaEngine"]
+__all__ = ["QueryOutcome", "MinervaEngine", "check_query_knobs"]
 
 #: Bits charged per returned result entry: a 32-bit global id + 32-bit score.
 RESULT_ENTRY_BITS = 64
@@ -92,6 +105,31 @@ class QueryOutcome:
     @property
     def final_recall(self) -> float:
         return self.recall_at[-1]
+
+
+def check_query_knobs(
+    *,
+    max_peers: int,
+    k: int,
+    peer_k: int | None = None,
+    fallback_spares: int = 0,
+) -> int:
+    """Entry: validate a query's routing knobs; return ``peer_k``.
+
+    ``peer_k`` defaults to ``k``.  Every query path calls this before it
+    touches the network or the clock.
+    """
+    if peer_k is None:
+        peer_k = k
+    if max_peers <= 0:
+        raise ValueError(f"max_peers must be positive, got {max_peers}")
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if peer_k <= 0:
+        raise ValueError(f"peer_k must be positive, got {peer_k}")
+    if fallback_spares < 0:
+        raise ValueError(f"fallback_spares must be >= 0, got {fallback_spares}")
+    return peer_k
 
 
 class MinervaEngine:
@@ -331,6 +369,45 @@ class MinervaEngine:
 
     # -- query pipeline --------------------------------------------------------------
 
+    def resolve_initiator(self, query: Query, initiator_id: str | None) -> str:
+        """Entry: check the query is routable and default its initiator.
+
+        The default initiator is ``sorted(peers)[query_id % len(peers)]``;
+        an explicit one must be a current peer.
+        """
+        self._ensure_published(query)
+        if initiator_id is None:
+            peer_ids = sorted(self.peers)
+            return peer_ids[query.query_id % len(peer_ids)]
+        if initiator_id not in self.peers:
+            raise KeyError(f"unknown peer {initiator_id!r}")
+        return initiator_id
+
+    def initiator_seed(
+        self,
+        query: Query,
+        initiator_id: str,
+        *,
+        k: int = 50,
+        conjunctive: bool = False,
+    ) -> tuple[tuple[ScoredDocument, ...], LocalView]:
+        """Seed: the initiator's local top-``k`` and the view built on it.
+
+        The local result is computed once per query; it seeds IQN's
+        reference synopsis through the :class:`LocalView` and is the first
+        list of the final merge.
+        """
+        initiator = self._get_peer(initiator_id)
+        local = tuple(initiator.answer_query(query.terms, k=k, conjunctive=conjunctive))
+        view = LocalView(
+            peer_id=initiator_id,
+            result_doc_ids=result_ids(local),
+            doc_ids_by_term={
+                term: initiator.local_doc_ids(term) for term in query.terms
+            },
+        )
+        return local, view
+
     def local_view(
         self,
         query: Query,
@@ -340,17 +417,7 @@ class MinervaEngine:
         conjunctive: bool = False,
     ) -> LocalView:
         """The initiator's local knowledge (seeds the reference synopsis)."""
-        initiator = self._get_peer(initiator_id)
-        local_result = initiator.answer_query(
-            query.terms, k=k, conjunctive=conjunctive
-        )
-        return LocalView(
-            peer_id=initiator_id,
-            result_doc_ids=result_ids(local_result),
-            doc_ids_by_term={
-                term: initiator.local_doc_ids(term) for term in query.terms
-            },
-        )
+        return self.initiator_seed(query, initiator_id, k=k, conjunctive=conjunctive)[1]
 
     def make_context(
         self,
@@ -419,6 +486,57 @@ class MinervaEngine:
             per_peer[peer_id] = results
         return per_peer
 
+    def measure(
+        self,
+        query: Query,
+        plan: TopologyPlan,
+        *,
+        initiator_id: str,
+        local: tuple[ScoredDocument, ...],
+        queried: tuple[str, ...],
+        per_peer: dict[str, tuple[ScoredDocument, ...]],
+        cost: CostSnapshot,
+        k: int,
+        conjunctive: bool = False,
+        cori_weighted_merge: bool = False,
+    ) -> QueryOutcome:
+        """Measure: the recall curve over ``queried`` and the final merge.
+
+        ``recall_at[j]`` covers the initiator's ``local`` result plus the
+        first ``j`` queried peers' lists in ``per_peer``; the merge fuses
+        ``local`` with every list in ``per_peer``, in its order.
+        """
+        reference = self.reference_topk(query, k=k, conjunctive=conjunctive)
+        covered = set(result_ids(local))
+        recall_curve = [relative_recall(covered, reference)]
+        for peer_id in queried:
+            covered.update(result_ids(per_peer[peer_id]))
+            recall_curve.append(relative_recall(covered, reference))
+        if cori_weighted_merge:
+            from ..routing.cori import cori_scores
+
+            assert plan.context is not None  # every topology plan records it
+            weights = cori_scores(plan.context)
+            weights[initiator_id] = 1.0  # local scores are trusted as-is
+            merged = weighted_merge(
+                {initiator_id: local, **per_peer}, weights, k=None
+            )
+        else:
+            merged = merge_results([local, *per_peer.values()], k=None)
+        return QueryOutcome(
+            query=query,
+            initiator_id=initiator_id,
+            selected=queried,
+            recall_at=tuple(recall_curve),
+            merged=tuple(merged),
+            reference_ids=reference,
+            cost=cost,
+            per_peer_results=per_peer,
+            routing_stats=plan.routing_stats,
+            clusters_ranked=plan.clusters_ranked,
+            super_fetches=plan.super_fetches,
+        )
+
     def run_query(
         self,
         query: Query,
@@ -444,66 +562,35 @@ class MinervaEngine:
         IR result merging) instead of the plain max-score merge; recall
         is unaffected (it is set-based), the merged *ranking* changes.
         """
-        self._ensure_published(query)
-        if peer_k is None:
-            peer_k = k
-        if peer_k <= 0:
-            raise ValueError(f"peer_k must be positive, got {peer_k}")
-        if initiator_id is None:
-            peer_ids = sorted(self.peers)
-            initiator_id = peer_ids[query.query_id % len(peer_ids)]
+        peer_k = check_query_knobs(max_peers=max_peers, k=k, peer_k=peer_k)
+        initiator_id = self.resolve_initiator(query, initiator_id)
         before = self.cost.snapshot()
-        local_view = self.local_view(
+        local, view = self.initiator_seed(
             query, initiator_id, k=peer_k, conjunctive=conjunctive
         )
-        scoped = self.topology.assemble(
+        plan = self.topology.route(
             query,
+            selector,
+            max_peers,
             requester=initiator_id,
-            initiator=local_view,
+            initiator=view,
             conjunctive=conjunctive,
-            max_peers=max_peers,
             peer_list_limit=peer_list_limit,
         )
-        context = self.topology.context_for(
-            query, scoped, initiator=local_view, conjunctive=conjunctive
+        per_peer = self.execute(
+            query, list(plan.selected), k=peer_k, conjunctive=conjunctive
         )
-        plan = self.topology.plan(context, scoped, selector, max_peers)
-        selected = list(plan.selected)
-        per_peer = self.execute(query, selected, k=peer_k, conjunctive=conjunctive)
-        cost = self.cost.snapshot() - before
-
-        reference = self.reference_topk(query, k=k, conjunctive=conjunctive)
-        initiator = self._get_peer(initiator_id)
-        local = tuple(
-            initiator.answer_query(query.terms, k=peer_k, conjunctive=conjunctive)
-        )
-        covered = set(result_ids(local))
-        recall_curve = [relative_recall(covered, reference)]
-        for peer_id in selected:
-            covered.update(result_ids(per_peer[peer_id]))
-            recall_curve.append(relative_recall(covered, reference))
-        if cori_weighted_merge:
-            from ..routing.cori import cori_scores
-
-            weights = cori_scores(context)
-            weights[initiator_id] = 1.0  # local scores are trusted as-is
-            merged = weighted_merge(
-                {initiator_id: local, **per_peer}, weights, k=None
-            )
-        else:
-            merged = merge_results([local, *per_peer.values()], k=None)
-        return QueryOutcome(
-            query=query,
+        return self.measure(
+            query,
+            plan,
             initiator_id=initiator_id,
-            selected=tuple(selected),
-            recall_at=tuple(recall_curve),
-            merged=tuple(merged),
-            reference_ids=reference,
-            cost=cost,
-            per_peer_results=per_peer,
-            routing_stats=plan.routing_stats,
-            clusters_ranked=plan.clusters_ranked,
-            super_fetches=plan.super_fetches,
+            local=local,
+            queried=plan.selected,
+            per_peer=per_peer,
+            cost=self.cost.snapshot() - before,
+            k=k,
+            conjunctive=conjunctive,
+            cori_weighted_merge=cori_weighted_merge,
         )
 
     def run_query_networked(
@@ -525,9 +612,9 @@ class MinervaEngine:
     ) -> NetworkedQueryOutcome:
         """Run one query over the simulated network (:mod:`repro.simnet`).
 
-        The three query phases — PeerList fetch over DHT hops, routing,
-        forward+merge — execute as messages on a discrete-event
-        transport, subject to ``faults`` (a
+        The same pipeline as :meth:`run_query`, with assembly and
+        forwarding executed as messages on a discrete-event transport,
+        subject to ``faults`` (a
         :class:`~repro.simnet.faults.FaultPlan`), the wire ``profile``
         (a :class:`~repro.net.latency.LatencyProfile`), and the retry
         ``policy`` (a :class:`~repro.simnet.rpc.RetryPolicy`).  Returns

@@ -7,12 +7,12 @@ directory events it subscribes to) and serves each query in three
 steps:
 
 1. **plan** — look the normalized query up in the
-   :class:`~repro.serving.cache.RoutingPlanCache`.  On a miss, pay
-   exactly the one-shot path's Phase 1 + 2 (PeerList fetches over
-   Chord, selector ranking — reference synopses memoized through the
-   :class:`~repro.serving.cache.ReferenceSynopsisCache`) and cache the
-   ranked plan with per-peer score bounds.  On a hit, skip both phases:
-   no directory traffic, no ranking delay.
+   :class:`~repro.serving.cache.RoutingPlanCache`.  On a miss, run the
+   engine's query pipeline up to the plan — entry, seed, the executor's
+   networked assembly, context and plan (reference synopses memoized
+   through the :class:`~repro.serving.cache.ReferenceSynopsisCache`) —
+   and cache the ranked plan with per-peer score bounds.  On a hit,
+   skip assembly and planning: no directory traffic, no ranking delay.
 2. **stream** — pull score-sorted result batches from the planned peers
    in synchronized rounds, closing each stream as soon as the
    threshold-style test (:mod:`repro.serving.streaming`) proves it
@@ -35,7 +35,6 @@ later batches from the memo.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Generator, Sequence
 
@@ -47,11 +46,12 @@ from ..minerva.engine import (
     QUERY_HEADER_BITS,
     QUERY_TERM_BITS,
     RESULT_ENTRY_BITS,
+    check_query_knobs,
 )
 from ..net.cost import CostModel, CostSnapshot, MessageKinds
 from ..parallel.seeding import derive_seed
-from ..routing.base import PeerSelector, SeedSynopses
-from ..simnet.clock import SimFuture, gather, spawn
+from ..routing.base import PeerSelector
+from ..simnet.clock import SimFuture, arrival_times, gather, spawn
 from ..simnet.executor import SimNetExecutor
 from ..simnet.rpc import RpcHandler, RpcResult
 from .cache import (
@@ -154,23 +154,15 @@ class ServingFrontend:
         self.selector = selector
         self.max_peers = max_peers
         self.k = k
-        self.peer_k = k if peer_k is None else peer_k
+        self.peer_k = check_query_knobs(
+            max_peers=max_peers, k=k, peer_k=peer_k, fallback_spares=fallback_spares
+        )
         self.conjunctive = conjunctive
         self.batch_size = k if batch_size is None else batch_size
         self.fallback_spares = fallback_spares
         self.successor_fallback = successor_fallback
-        if self.max_peers <= 0:
-            raise ValueError(f"max_peers must be positive, got {max_peers}")
-        if self.k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if self.peer_k <= 0:
-            raise ValueError(f"peer_k must be positive, got {self.peer_k}")
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if self.fallback_spares < 0:
-            raise ValueError(
-                f"fallback_spares must be >= 0, got {fallback_spares}"
-            )
         engine = self.executor.engine
         self.plan_cache = RoutingPlanCache(max_plans=plan_cache_size)
         self.synopsis_cache = ReferenceSynopsisCache(
@@ -261,15 +253,11 @@ class ServingFrontend:
         """Schedule one query at virtual time ``at_ms`` (default: now).
 
         Returns a future resolving to a :class:`ServedQuery` once the
-        clock has been driven past its completion (:meth:`run`).
-        Initiator defaulting matches :meth:`SimNetExecutor.submit`.
+        clock has been driven past its completion (:meth:`run`).  The
+        initiator defaults as on every path
+        (:meth:`~repro.minerva.engine.MinervaEngine.resolve_initiator`).
         """
-        self.executor.engine._ensure_published(query)
-        if initiator_id is None:
-            peer_ids = sorted(self.executor.engine.peers)
-            initiator_id = peer_ids[query.query_id % len(peer_ids)]
-        elif initiator_id not in self.executor.engine.peers:
-            raise KeyError(f"unknown peer {initiator_id!r}")
+        initiator_id = self.executor.engine.resolve_initiator(query, initiator_id)
         result = SimFuture()
 
         def start() -> None:
@@ -301,25 +289,20 @@ class ServingFrontend:
         default initiator is used, which is what makes repeated log
         entries share a plan-cache key.
         """
-        if interarrival_ms <= 0:
-            raise ValueError(
-                f"interarrival_ms must be positive, got {interarrival_ms}"
-            )
-        if arrivals not in ("poisson", "uniform"):
-            raise ValueError(
-                f"arrivals must be poisson or uniform, got {arrivals!r}"
-            )
+        times = arrival_times(
+            len(log),
+            interarrival_ms=interarrival_ms,
+            arrivals=arrivals,
+            seed=derive_seed(
+                self.executor.seed if seed is None else seed, "serve-log"
+            ),
+            start_ms=start_ms,
+        )
         if live_initiators is None:
             live_initiators = self.service is not None
-        rng = random.Random(
-            derive_seed(
-                self.executor.seed if seed is None else seed, "serve-log"
-            )
-        )
         futures: list[SimFuture] = []
-        at_ms = start_ms
         clock = self.executor.clock
-        for query in log:
+        for query, at_ms in zip(log, times):
             if live_initiators and self.service is not None:
                 service = self.service
 
@@ -331,12 +314,6 @@ class ServingFrontend:
                 clock.schedule_at(at_ms, submit)
             else:
                 futures.append(self.serve(query, at_ms=at_ms))
-            gap = (
-                rng.expovariate(1.0 / interarrival_ms)
-                if arrivals == "poisson"
-                else interarrival_ms
-            )
-            at_ms += gap
         self.run()
         return [future.value for future in futures]
 
@@ -358,40 +335,33 @@ class ServingFrontend:
     ) -> Generator[
         SimFuture, Any, tuple[CachedPlan, tuple[ScoredDocument, ...], tuple[str, ...]]
     ]:
-        """Phases 1 + 2 of the one-shot path, producing a cacheable plan."""
+        """The pipeline up to the plan (seed, assemble, context, plan)."""
         executor = self.executor
-        seed_synopses: SeedSynopses = {}
-        if executor.engine.topology.hierarchical:
-            scoped = yield from executor._fetch_scoped_lists(
-                query,
-                initiator_id,
-                cost,
-                peer_k=self.peer_k,
-                conjunctive=self.conjunctive,
-                max_peers=self.max_peers,
-                successor_fallback=self.successor_fallback,
-                seed_synopses=seed_synopses,
-                spec=self._caching_spec,
-            )
-            peer_lists, scoped_failed = scoped[0], scoped[1]
-            failed_terms = list(scoped_failed)
-        else:
-            fetch = yield from executor._fetch_peer_lists(
-                query, initiator_id, cost, self.successor_fallback
-            )
-            peer_lists, failed_terms, _attempts, _fallbacks = fetch
-        context, local = executor.make_routing_context(
+        engine = executor.engine
+        local, view = engine.initiator_seed(
+            query, initiator_id, k=self.peer_k, conjunctive=self.conjunctive
+        )
+        scoped = yield from executor._assemble(
             query,
             initiator_id,
-            peer_lists,
-            peer_k=self.peer_k,
+            cost,
+            initiator=view,
+            conjunctive=self.conjunctive,
+            max_peers=self.max_peers,
+            successor_fallback=self.successor_fallback,
+            spec=self._caching_spec,
+        )
+        context = engine.topology.context_for(
+            query,
+            scoped,
+            initiator=view,
             conjunctive=self.conjunctive,
             spec=self._caching_spec,
-            seed_synopses=seed_synopses,
         )
-        ranked = tuple(
-            self.selector.rank(context, self.max_peers + self.fallback_spares)
-        )
+        ranked = engine.topology.plan(
+            context, scoped, self.selector, self.max_peers + self.fallback_spares
+        ).selected
+        failed_terms = scoped.failed_terms
         bounds: dict[str, float] = {}
         for peer_id in ranked:
             if failed_terms:
@@ -399,7 +369,7 @@ class ServingFrontend:
                 # estimates, so disable early termination outright.
                 bounds[peer_id] = float("inf")
                 continue
-            posts = (peer_lists[term].get(peer_id) for term in query.terms)
+            posts = (scoped.peer_lists[term].get(peer_id) for term in query.terms)
             bounds[peer_id] = synopsis_upper_bound(
                 post.max_score for post in posts if post is not None
             )
@@ -413,7 +383,7 @@ class ServingFrontend:
             self.plan_cache.store(key, plan)
         if executor.routing_ms:
             yield executor._sleep(executor.routing_ms)
-        return plan, local, tuple(failed_terms)
+        return plan, local, failed_terms
 
     def _serve_job(
         self, query: Query, initiator_id: str

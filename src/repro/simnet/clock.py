@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 from typing import Any, Callable, Generator, Iterable
 
-__all__ = ["SimClock", "SimFuture", "spawn", "gather"]
+__all__ = ["SimClock", "SimFuture", "spawn", "gather", "arrival_times"]
 
 
 class SimClock:
@@ -192,3 +193,34 @@ def gather(futures: Iterable[SimFuture]) -> SimFuture:
     for future in pending:
         future.add_done_callback(on_done)
     return result
+
+
+def arrival_times(
+    count: int,
+    *,
+    interarrival_ms: float,
+    arrivals: str,
+    seed: int,
+    start_ms: float = 0.0,
+) -> list[float]:
+    """Virtual submission times of ``count`` workload arrivals.
+
+    ``interarrival_ms`` is the mean gap (the offered load); ``arrivals``
+    is ``"poisson"`` (exponential gaps drawn from ``random.Random(seed)``)
+    or ``"uniform"`` (fixed gaps).  The first arrival is at ``start_ms``.
+    """
+    if interarrival_ms <= 0:
+        raise ValueError(f"interarrival_ms must be positive, got {interarrival_ms}")
+    if arrivals not in ("poisson", "uniform"):
+        raise ValueError(f"arrivals must be poisson or uniform, got {arrivals!r}")
+    rng = random.Random(seed)
+    times: list[float] = []
+    at_ms = start_ms
+    for _ in range(count):
+        times.append(at_ms)
+        at_ms += (
+            rng.expovariate(1.0 / interarrival_ms)
+            if arrivals == "poisson"
+            else interarrival_ms
+        )
+    return times

@@ -1,27 +1,33 @@
 """Networked query execution: the MINERVA pipeline as simulated messages.
 
 :class:`SimNetExecutor` wraps a :class:`~repro.minerva.engine.MinervaEngine`
-and runs the paper's three query phases over a
-:class:`~repro.simnet.transport.Transport` in virtual time:
+and runs the engine's query pipeline (entry, seed, assemble, context,
+plan, forward, measure — see :mod:`repro.minerva.engine`) over a
+:class:`~repro.simnet.transport.Transport` in virtual time.  It supplies
+the two stages that become messages:
 
-1. **PeerList fetch** — one RPC per query term, routed along the actual
-   Chord lookup path (each hop a message adding latency and link load),
-   answered by the owning peer from its directory node's store;
-2. **routing** — the selector ranks candidates locally at the initiator
-   (a configurable compute delay);
-3. **forward + merge** — one RPC per selected peer, fanned out
-   concurrently; each peer serves its local top-k after a service time.
+- **assemble** (:meth:`SimNetExecutor._assemble`) — on a flat topology
+  one RPC per query term, routed along the actual Chord lookup path
+  (each hop a message adding latency and link load) and answered by the
+  owning peer from its directory node's store; over a super-peer tier a
+  cluster-directory fetch from the initiator's super-peer plus one
+  member fetch per winning cluster;
+- **forward** — one RPC per selected peer, fanned out concurrently;
+  each peer serves its local top-k after a service time, and a peer
+  that never answers is replaced by the next-ranked spare.
 
-Every RPC rides the retry policy, so lost messages and crashed peers
-cost timeouts and backoff instead of raising: a query always completes,
-with empty contributions from peers that never answered and a record of
-who they were.  Multiple submitted queries interleave in virtual time —
-their messages share links, so the M/M/1 queueing delay makes response
-time a superlinear function of offered load (Section 8.2), which is the
-whole point of simulating the network instead of costing it passively.
+Routing between the two is a local step at the initiator (a
+configurable compute delay).  Every RPC rides the retry policy, so lost
+messages and crashed peers cost timeouts and backoff instead of
+raising: a query always completes, with empty contributions from peers
+that never answered and a record of who they were.  Multiple submitted
+queries interleave in virtual time — their messages share links, so the
+M/M/1 queueing delay makes response time a superlinear function of
+offered load (Section 8.2), which is the whole point of simulating the
+network instead of costing it passively.
 
 With an empty :class:`~repro.simnet.faults.FaultPlan` the selected peers,
-merged document ids, and recall curve are identical to
+merged document ids, recall curve and routing counters are identical to
 :meth:`MinervaEngine.run_query` — the network changes *when*, not
 *what*.  Accounting note: networked runs charge their messages to the
 transport's cost model and to a per-query snapshot on the outcome; the
@@ -30,13 +36,10 @@ engine's own cost model is not touched.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Generator, Sequence
 
 from ..datasets.queries import Query
-from ..ir.merge import merge_results
-from ..ir.metrics import relative_recall, result_ids
 from ..ir.topk import ScoredDocument
 from ..minerva.engine import (
     QUERY_HEADER_BITS,
@@ -44,14 +47,16 @@ from ..minerva.engine import (
     RESULT_ENTRY_BITS,
     MinervaEngine,
     QueryOutcome,
+    check_query_knobs,
 )
 from ..minerva.posts import PeerList
 from ..net.cost import CostModel, MessageKinds
 from ..net.latency import LatencyProfile
-from ..routing.base import LocalView, PeerSelector, RoutingContext, SeedSynopses
+from ..routing.base import LocalView, PeerSelector, SeedSynopses
 from ..synopses.factory import SynopsisSpec
+from ..topology.base import ScopedLists
 from ..topology.superpeer import SuperPeerTopology
-from .clock import SimClock, SimFuture, gather, spawn
+from .clock import SimClock, SimFuture, arrival_times, gather, spawn
 from .faults import FaultPlan
 from .rpc import RetryPolicy, RpcHandler, RpcLayer, RpcResult
 from .transport import Transport
@@ -304,20 +309,10 @@ class SimNetExecutor:
         next-best one.  Both default off, which preserves the exact
         pre-churn behavior.
         """
-        self.engine._ensure_published(query)
-        if peer_k is None:
-            peer_k = k
-        if peer_k <= 0:
-            raise ValueError(f"peer_k must be positive, got {peer_k}")
-        if fallback_spares < 0:
-            raise ValueError(
-                f"fallback_spares must be >= 0, got {fallback_spares}"
-            )
-        if initiator_id is None:
-            peer_ids = sorted(self.engine.peers)
-            initiator_id = peer_ids[query.query_id % len(peer_ids)]
-        elif initiator_id not in self.engine.peers:
-            raise KeyError(f"unknown peer {initiator_id!r}")
+        peer_k = check_query_knobs(
+            max_peers=max_peers, k=k, peer_k=peer_k, fallback_spares=fallback_spares
+        )
+        initiator_id = self.engine.resolve_initiator(query, initiator_id)
         result = SimFuture()
 
         def start() -> None:
@@ -361,25 +356,17 @@ class SimNetExecutor:
         overlap in virtual time, so higher offered load inflates
         per-query latency through shared-link queueing.
         """
-        if interarrival_ms <= 0:
-            raise ValueError(
-                f"interarrival_ms must be positive, got {interarrival_ms}"
-            )
-        if arrivals not in ("poisson", "uniform"):
-            raise ValueError(f"arrivals must be poisson or uniform, got {arrivals!r}")
-        rng = random.Random(self.seed + 1 if seed is None else seed)
-        at_ms = start_ms
-        futures = []
-        for query in queries:
-            futures.append(
-                self.submit(query, selector, at_ms=at_ms, **query_kwargs)
-            )
-            gap = (
-                rng.expovariate(1.0 / interarrival_ms)
-                if arrivals == "poisson"
-                else interarrival_ms
-            )
-            at_ms += gap
+        times = arrival_times(
+            len(queries),
+            interarrival_ms=interarrival_ms,
+            arrivals=arrivals,
+            seed=self.seed + 1 if seed is None else seed,
+            start_ms=start_ms,
+        )
+        futures = [
+            self.submit(query, selector, at_ms=at_ms, **query_kwargs)
+            for query, at_ms in zip(queries, times)
+        ]
         self.run()
         return [future.value for future in futures]
 
@@ -415,56 +402,31 @@ class SimNetExecutor:
         engine = self.engine
         started = self.clock.now
         cost = CostModel()
+        local, view = engine.initiator_seed(
+            query, initiator_id, k=peer_k, conjunctive=conjunctive
+        )
 
-        clusters_ranked: tuple[str, ...] = ()
-        super_fetches = 0
-        topology_fallbacks = 0
-        # Both routing phases seed their references from the initiator:
-        # build each seed synopsis once for the query.
-        seed_synopses: SeedSynopses = {}
-        if engine.topology.hierarchical:
-            # Phase 1 (hierarchical) — cluster directory from the
-            # initiator's super-peer, cluster ranking locally, then one
-            # member fetch per winning cluster.
-            scoped = yield from self._fetch_scoped_lists(
-                query,
-                initiator_id,
-                cost,
-                peer_k=peer_k,
-                conjunctive=conjunctive,
-                max_peers=max_peers,
-                successor_fallback=successor_fallback,
-                seed_synopses=seed_synopses,
-            )
-            (
-                peer_lists,
-                failed_terms,
-                directory_attempts,
-                directory_fallbacks,
-                clusters_ranked,
-                super_fetches,
-                topology_fallbacks,
-            ) = scoped
-        else:
-            # Phase 1 — PeerList fetches, all terms in flight concurrently,
-            # each routed along its real Chord lookup path.
-            fetch = yield from self._fetch_peer_lists(
-                query, initiator_id, cost, successor_fallback
-            )
-            peer_lists, failed_terms, directory_attempts, directory_fallbacks = fetch
-
-        # Phase 2 — routing, a local computation at the initiator.
-        context, local = self.make_routing_context(
+        # Phase 1 — candidate assembly as directory messages.
+        scoped = yield from self._assemble(
             query,
             initiator_id,
-            peer_lists,
-            peer_k=peer_k,
+            cost,
+            initiator=view,
             conjunctive=conjunctive,
-            seed_synopses=seed_synopses,
+            max_peers=max_peers,
+            successor_fallback=successor_fallback,
         )
-        ranked = tuple(selector.rank(context, max_peers + fallback_spares))
-        selected = ranked[:max_peers]
-        spares = list(ranked[max_peers:])
+
+        # Phase 2 — routing, a local computation at the initiator; the
+        # ranking runs past max_peers by the spares substitution may use.
+        context = engine.topology.context_for(
+            query, scoped, initiator=view, conjunctive=conjunctive
+        )
+        plan = engine.topology.plan(
+            context, scoped, selector, max_peers + fallback_spares
+        )
+        selected = plan.selected[:max_peers]
+        spares = list(plan.selected[max_peers:])
         if self.routing_ms:
             yield self._sleep(self.routing_ms)
 
@@ -524,25 +486,16 @@ class SimNetExecutor:
                     substituted.append(candidate)
                     break
 
-        queried = (*selected, *substituted)
-        reference = engine.reference_topk(query, k=k, conjunctive=conjunctive)
-        covered = set(result_ids(local))
-        recall_curve = [relative_recall(covered, reference)]
-        for peer_id in queried:
-            covered.update(result_ids(per_peer[peer_id]))
-            recall_curve.append(relative_recall(covered, reference))
-        merged = merge_results([local, *per_peer.values()], k=None)
-        outcome = QueryOutcome(
-            query=query,
+        outcome = engine.measure(
+            query,
+            plan,
             initiator_id=initiator_id,
-            selected=queried,
-            recall_at=tuple(recall_curve),
-            merged=tuple(merged),
-            reference_ids=reference,
+            local=local,
+            queried=(*selected, *substituted),
+            per_peer=per_peer,
             cost=cost.snapshot(),
-            per_peer_results=per_peer,
-            clusters_ranked=clusters_ranked,
-            super_fetches=super_fetches,
+            k=k,
+            conjunctive=conjunctive,
         )
         return NetworkedQueryOutcome(
             outcome=outcome,
@@ -550,15 +503,123 @@ class SimNetExecutor:
             finished_ms=self.clock.now,
             timed_out_peers=tuple(timed_out),
             attempts_by_peer=attempts,
-            failed_terms=tuple(failed_terms),
-            directory_attempts=directory_attempts,
+            failed_terms=scoped.failed_terms,
+            directory_attempts=scoped.directory_attempts,
             stale_routes=stale_routes,
             substituted_peers=tuple(substituted),
             fallback_attempts=fallback_attempts,
-            directory_fallbacks=directory_fallbacks,
-            super_peer_fetches=super_fetches,
-            topology_fallbacks=topology_fallbacks,
+            directory_fallbacks=scoped.directory_fallbacks,
+            super_peer_fetches=scoped.super_fetches,
+            topology_fallbacks=scoped.topology_fallbacks,
         )
+
+    def _assemble(
+        self,
+        query: Query,
+        initiator_id: str,
+        cost: CostModel,
+        *,
+        initiator: LocalView,
+        conjunctive: bool,
+        max_peers: int,
+        successor_fallback: bool,
+        spec: SynopsisSpec | None = None,
+    ) -> Generator[SimFuture, Any, ScopedLists]:
+        """Networked candidate assembly: the PeerLists one query routes over.
+
+        On a flat topology this is the per-term fetch.  Over a
+        super-peer tier the initiator asks its own super-peer for the
+        per-term cluster directory (one ``cluster_fetch`` RPC — a direct
+        link, no DHT hops), ranks clusters locally seeded by
+        ``initiator``, then pulls each winning cluster's member slices
+        from that cluster's super-peer (one ``member_fetch`` RPC per
+        winner).  An unreachable super-peer degrades to the full flat
+        fetch and a winning cluster whose member fetch never answers is
+        skipped; both count as topology fallbacks.  Cluster ranking
+        builds its seed synopses with ``spec`` (the engine's by default)
+        into the returned ``seed_synopses``; phase two must use the same
+        spec to reuse them.  Messages are charged to ``cost``.
+        """
+        topology = self.engine.topology
+        if not topology.hierarchical:
+            return (
+                yield from self._fetch_peer_lists(
+                    query, initiator_id, cost, successor_fallback
+                )
+            )
+        assert isinstance(topology, SuperPeerTopology)
+        unique_terms = tuple(dict.fromkeys(query.terms))
+        request_bits = QUERY_HEADER_BITS + QUERY_TERM_BITS * len(unique_terms)
+        super_id = topology.super_peer_of(initiator_id) or initiator_id
+        reply: RpcResult = yield self.rpc.call(
+            initiator_id,
+            super_id,
+            MessageKinds.CLUSTER_FETCH,
+            payload=unique_terms,
+            request_bits=request_bits,
+        )
+        if not reply.ok:
+            cost.record(MessageKinds.CLUSTER_FETCH, count=reply.attempts)
+            scoped = yield from self._fetch_peer_lists(
+                query, initiator_id, cost, successor_fallback
+            )
+            scoped.directory_attempts += reply.attempts
+            scoped.topology_fallbacks = 1
+            return scoped
+        cluster_lists: dict[str, PeerList] = reply.value
+        cost.record(
+            MessageKinds.CLUSTER_FETCH,
+            bits=sum(pl.size_in_bits for pl in cluster_lists.values()),
+            count=reply.attempts,
+        )
+        seed_synopses: SeedSynopses = {}
+        winners = topology.rank_clusters(
+            query,
+            initiator=initiator,
+            conjunctive=conjunctive,
+            budget=topology.resolve_cluster_budget(max_peers),
+            seed_synopses=seed_synopses,
+            spec=spec,
+        )
+        member_replies: list[RpcResult] = yield gather(
+            [
+                self.rpc.call(
+                    initiator_id,
+                    topology.super_of_cluster(label),
+                    MessageKinds.MEMBER_FETCH,
+                    payload=(label, unique_terms),
+                    request_bits=request_bits,
+                )
+                for label in winners
+            ]
+        )
+        scoped = ScopedLists(
+            peer_lists={},
+            clusters_ranked=tuple(winners),
+            super_fetches=1,
+            seed_synopses=seed_synopses,
+            directory_attempts=reply.attempts,
+        )
+        answered: list[dict[str, PeerList]] = []
+        scope_size = 0
+        for label, member_reply in zip(winners, member_replies):
+            scoped.directory_attempts += member_reply.attempts
+            if not member_reply.ok:
+                cost.record(MessageKinds.MEMBER_FETCH, count=member_reply.attempts)
+                scoped.topology_fallbacks += 1
+                continue
+            scoped.super_fetches += 1
+            lists_by_term: dict[str, PeerList] = member_reply.value
+            cost.record(
+                MessageKinds.MEMBER_FETCH,
+                bits=sum(pl.size_in_bits for pl in lists_by_term.values()),
+                count=member_reply.attempts,
+            )
+            answered.append(lists_by_term)
+            scope_size += len(topology.live_members(label))
+        scoped.peer_lists = topology.merge_member_lists(unique_terms, answered)
+        scoped.scope_size = scope_size
+        return scoped
 
     def _fetch_peer_lists(
         self,
@@ -566,19 +627,14 @@ class SimNetExecutor:
         initiator_id: str,
         cost: CostModel,
         successor_fallback: bool,
-    ) -> Generator[
-        SimFuture, Any, tuple[dict[str, PeerList], list[str], int, int]
-    ]:
-        """Phase 1 as a reusable sub-generator: fetch every term's PeerList.
+    ) -> Generator[SimFuture, Any, ScopedLists]:
+        """Flat networked assembly: fetch every term's PeerList.
 
         Issues one PEERLIST_FETCH per query term concurrently, each
         routed along the real Chord lookup path, charging DHT hops and
-        payload bits to ``cost``.  Returns ``(peer_lists, failed_terms,
-        directory_attempts, directory_fallbacks)``; a term whose
-        directory stayed unreachable contributes an empty PeerList and
-        lands in ``failed_terms``.  Shared by the one-shot query job and
-        the serving front end (:mod:`repro.serving.frontend`), which
-        must pay exactly this traffic on a routing-plan cache miss.
+        payload bits to ``cost``.  A term whose directory stayed
+        unreachable contributes an empty PeerList and lands in
+        ``failed_terms``.
         """
         engine = self.engine
         start_node = engine.directory._node_of_peer.get(initiator_id)
@@ -598,12 +654,11 @@ class SimNetExecutor:
                 )
             )
         responses: list[RpcResult] = yield gather(calls)
-        peer_lists: dict[str, PeerList] = {}
+        scoped = ScopedLists(peer_lists={})
+        peer_lists = scoped.peer_lists
         failed_terms: list[str] = []
-        directory_attempts = 0
-        directory_fallbacks = 0
         for term, response in zip(query.terms, responses):
-            directory_attempts += response.attempts
+            scoped.directory_attempts += response.attempts
             cost.record(
                 MessageKinds.DHT_HOP,
                 count=hops_by_term[term] * response.attempts,
@@ -624,7 +679,7 @@ class SimNetExecutor:
                 # dead node, at its successor, where the replica lives.
                 target = self._fallback_directory_peer(term, response.peer_id)
                 if target is not None:
-                    directory_fallbacks += 1
+                    scoped.directory_fallbacks += 1
                     retry: RpcResult = yield self.rpc.call(
                         initiator_id,
                         target,
@@ -632,7 +687,7 @@ class SimNetExecutor:
                         payload=term,
                         request_bits=PEERLIST_REQUEST_BITS,
                     )
-                    directory_attempts += retry.attempts
+                    scoped.directory_attempts += retry.attempts
                     if retry.ok:
                         peer_lists[term] = retry.value
                         cost.record(
@@ -650,178 +705,8 @@ class SimNetExecutor:
                 term=term, peer_table=engine.directory.peer_table
             )
             failed_terms.append(term)
-        return peer_lists, failed_terms, directory_attempts, directory_fallbacks
-
-    def _fetch_scoped_lists(
-        self,
-        query: Query,
-        initiator_id: str,
-        cost: CostModel,
-        *,
-        peer_k: int,
-        conjunctive: bool,
-        max_peers: int,
-        successor_fallback: bool,
-        seed_synopses: SeedSynopses,
-        spec: SynopsisSpec | None = None,
-    ) -> Generator[
-        SimFuture,
-        Any,
-        tuple[
-            dict[str, PeerList],
-            list[str],
-            int,
-            int,
-            tuple[str, ...],
-            int,
-            int,
-        ],
-    ]:
-        """Phase 1 over a super-peer tier: two-phase scoped assembly.
-
-        The initiator asks its own super-peer for the per-term cluster
-        directory (one ``cluster_fetch`` RPC — a direct link, no DHT
-        hops), ranks clusters locally, then pulls each winning cluster's
-        member slices from that cluster's super-peer (one ``member_fetch``
-        RPC per winner).  An unreachable super-peer degrades to the full
-        flat fetch (counted as a topology fallback); a winning cluster
-        whose member fetch never answers is skipped (also counted).
-        Cluster ranking builds its seed synopses with ``spec`` (the
-        engine's by default) and collects them in ``seed_synopses``;
-        pass the same dict and spec to :meth:`make_routing_context` so
-        phase two reuses them.
-        Returns ``(peer_lists, failed_terms, directory_attempts,
-        directory_fallbacks, clusters_ranked, super_fetches,
-        topology_fallbacks)``.
-        """
-        engine = self.engine
-        topology = engine.topology
-        assert isinstance(topology, SuperPeerTopology)
-        unique_terms = tuple(dict.fromkeys(query.terms))
-        request_bits = QUERY_HEADER_BITS + QUERY_TERM_BITS * len(unique_terms)
-        super_id = topology.super_peer_of(initiator_id) or initiator_id
-        reply: RpcResult = yield self.rpc.call(
-            initiator_id,
-            super_id,
-            MessageKinds.CLUSTER_FETCH,
-            payload=unique_terms,
-            request_bits=request_bits,
-        )
-        directory_attempts = reply.attempts
-        if not reply.ok:
-            cost.record(MessageKinds.CLUSTER_FETCH, count=reply.attempts)
-            flat = yield from self._fetch_peer_lists(
-                query, initiator_id, cost, successor_fallback
-            )
-            peer_lists, failed_terms, flat_attempts, directory_fallbacks = flat
-            return (
-                peer_lists,
-                failed_terms,
-                directory_attempts + flat_attempts,
-                directory_fallbacks,
-                (),
-                0,
-                1,
-            )
-        cluster_lists: dict[str, PeerList] = reply.value
-        cluster_bits = sum(pl.size_in_bits for pl in cluster_lists.values())
-        cost.record(
-            MessageKinds.CLUSTER_FETCH, bits=cluster_bits, count=reply.attempts
-        )
-        local_view = engine.local_view(
-            query, initiator_id, k=peer_k, conjunctive=conjunctive
-        )
-        winners = topology.rank_clusters(
-            query,
-            initiator=local_view,
-            conjunctive=conjunctive,
-            budget=topology.resolve_cluster_budget(max_peers),
-            seed_synopses=seed_synopses,
-            spec=spec,
-        )
-        member_replies: list[RpcResult] = yield gather(
-            [
-                self.rpc.call(
-                    initiator_id,
-                    topology.super_of_cluster(label),
-                    MessageKinds.MEMBER_FETCH,
-                    payload=(label, unique_terms),
-                    request_bits=request_bits,
-                )
-                for label in winners
-            ]
-        )
-        super_fetches = 1
-        topology_fallbacks = 0
-        replies: list[dict[str, PeerList]] = []
-        for member_reply in member_replies:
-            directory_attempts += member_reply.attempts
-            if not member_reply.ok:
-                cost.record(
-                    MessageKinds.MEMBER_FETCH, count=member_reply.attempts
-                )
-                topology_fallbacks += 1
-                continue
-            super_fetches += 1
-            lists_by_term: dict[str, PeerList] = member_reply.value
-            cost.record(
-                MessageKinds.MEMBER_FETCH,
-                bits=sum(pl.size_in_bits for pl in lists_by_term.values()),
-                count=member_reply.attempts,
-            )
-            replies.append(lists_by_term)
-        return (
-            topology.merge_member_lists(unique_terms, replies),
-            [],
-            directory_attempts,
-            0,
-            tuple(winners),
-            super_fetches,
-            topology_fallbacks,
-        )
-
-    def make_routing_context(
-        self,
-        query: Query,
-        initiator_id: str,
-        peer_lists: dict[str, PeerList],
-        *,
-        peer_k: int,
-        conjunctive: bool,
-        spec: SynopsisSpec | None = None,
-        seed_synopses: SeedSynopses,
-    ) -> tuple[RoutingContext, tuple[ScoredDocument, ...]]:
-        """Assemble the Phase-2 routing context from fetched PeerLists.
-
-        Executes the query locally at the initiator (seeding IQN's
-        reference synopsis) and returns ``(context, local_results)``.
-        ``spec`` overrides the engine's synopsis spec — the serving
-        layer passes a build-memoizing wrapper so reference synopses
-        shared across queries are constructed once.  ``seed_synopses``
-        is the query's seed dict, which a super-peer tier's cluster
-        ranking has already filled.
-        """
-        engine = self.engine
-        initiator = engine.peers[initiator_id]
-        local = tuple(
-            initiator.answer_query(query.terms, k=peer_k, conjunctive=conjunctive)
-        )
-        context = RoutingContext(
-            query=query,
-            peer_lists=peer_lists,
-            num_peers=len(engine.peers),
-            spec=engine.spec if spec is None else spec,
-            initiator=LocalView(
-                peer_id=initiator_id,
-                result_doc_ids=result_ids(local),
-                doc_ids_by_term={
-                    term: initiator.local_doc_ids(term) for term in query.terms
-                },
-            ),
-            conjunctive=conjunctive,
-            seed_synopses=seed_synopses,
-        )
-        return context, local
+        scoped.failed_terms = tuple(failed_terms)
+        return scoped
 
     def _fallback_directory_peer(self, term: str, dead_peer: str) -> str | None:
         """Where to retry a PeerList fetch after ``dead_peer`` went silent.

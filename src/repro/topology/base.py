@@ -78,7 +78,9 @@ class ScopedLists:
 
     ``scope_size`` is ``None`` for an unrestricted (flat) assembly; for
     a hierarchical assembly it counts the peers routing may select from
-    (the winning clusters' live members).
+    (the winning clusters' live members).  The fetch counters are filled
+    by networked assembly (:class:`~repro.simnet.executor.SimNetExecutor`),
+    where directory lookups can fail; in-process assembly leaves them 0.
     """
 
     peer_lists: dict[str, PeerList]
@@ -91,6 +93,16 @@ class ScopedLists:
     #: :meth:`~repro.routing.base.RoutingContext.seed_synopsis`);
     #: :meth:`RoutingTopology.context_for` hands them on.
     seed_synopses: SeedSynopses = field(default_factory=dict, repr=False)
+    #: Query terms whose directory stayed unreachable; each contributed
+    #: an empty PeerList.
+    failed_terms: tuple[str, ...] = ()
+    #: Directory request attempts, retries included.
+    directory_attempts: int = 0
+    #: PeerList fetches retried at the owner's ring successor.
+    directory_fallbacks: int = 0
+    #: Hierarchical fetches that degraded: an unreachable super-peer
+    #: (full flat re-fetch) or a winning cluster that never answered.
+    topology_fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,8 @@ class TopologyPlan:
     #: Candidate peers the selector could see (None = whole directory).
     scope_size: int | None = None
     super_fetches: int = 0
+    #: The context the selector ranked (CORI-weighted merging reads it).
+    context: RoutingContext | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -121,9 +135,9 @@ class ReElection:
 class RoutingTopology(ABC):
     """Owns candidate-peer assembly, directory lookup, and plan scoping."""
 
-    #: True when queries route through a super-peer tier; the simnet
-    #: executor and the serving frontend branch on this to use the
-    #: two-phase fetch path.
+    #: True when queries route through a super-peer tier; networked
+    #: assembly (:class:`~repro.simnet.executor.SimNetExecutor`) branches
+    #: on this to use the two-phase fetch messages.
     hierarchical: bool = False
 
     def __init__(self) -> None:
@@ -180,13 +194,20 @@ class RoutingTopology(ABC):
         *,
         initiator: LocalView | None = None,
         conjunctive: bool = False,
+        spec: SynopsisSpec | None = None,
     ) -> RoutingContext:
-        """Wrap assembled lists into the context selectors consume."""
+        """Wrap assembled lists into the context selectors consume.
+
+        ``spec`` overrides the host's synopsis spec — the serving layer
+        passes a build-memoizing wrapper so reference synopses shared
+        across queries are built once.  It must be the spec the assembly
+        seeded ``scoped.seed_synopses`` with, or phase two rebuilds them.
+        """
         return RoutingContext(
             query=query,
             peer_lists=scoped.peer_lists,
             num_peers=self.host.num_peers,
-            spec=self.host.spec,
+            spec=self.host.spec if spec is None else spec,
             initiator=initiator,
             conjunctive=conjunctive,
             seed_synopses=scoped.seed_synopses,
@@ -207,6 +228,7 @@ class RoutingTopology(ABC):
             clusters_ranked=scoped.clusters_ranked,
             scope_size=scoped.scope_size,
             super_fetches=scoped.super_fetches,
+            context=context,
         )
 
     def route(

@@ -25,6 +25,8 @@ class TestParity:
             assert networked.selected == inproc.selected
             assert result_ids(networked.merged) == result_ids(inproc.merged)
             assert networked.recall_at == inproc.recall_at
+            assert networked.outcome.routing_stats is not None
+            assert networked.outcome.routing_stats == inproc.routing_stats
             assert networked.timed_out_peers == ()
             assert networked.failed_terms == ()
             assert not networked.degraded
