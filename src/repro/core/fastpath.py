@@ -18,14 +18,18 @@ reference oracle.
 candidate's integer sufficient statistic against the reference (Bloom:
 popcount of ``cand AND NOT ref``; MIPs: matching-minima count; hash
 sketch: per-bucket first-zero positions; LogLog: merged-register sum
-and empty count).  After each absorb it detects *exactly* which rows
-the reference change can affect and recomputes only those.  Turning
-statistics into novelty floats is a vectorized O(C) pass per round
-using lookup tables indexed by the integer statistic — the tables are
-filled by the same scalar :mod:`math`-based code the synopses use, so
-no NumPy transcendental (whose libm may differ by ULPs) ever touches
-the value path.  The next peer is the argmax of ``quality * novelty``
-with the naive loop's tie-breaks (quality, then peer id).
+and empty count) and catches it up after each absorb from the reference
+change alone: Bloom subtracts each row's popcount over the added bits
+in one pass, MIPs recounts matches only at the positions whose minimum
+sank, and the sketch families recompute only the rows the change can
+affect.  Turning statistics into novelty floats is a vectorized O(C)
+pass per round using lookup tables indexed by the integer statistic —
+the tables are filled by the same scalar :mod:`math`-based code the
+synopses use, so no NumPy transcendental (whose libm may differ by
+ULPs) ever touches the value path.  The next peer is the first maximum of
+``quality * novelty`` over the candidates in one order fixed per query
+— quality, then peer id, both descending — which is the naive loop's
+tie-break.
 
 Aggregate-Synopses runs on packed rows too.  The reference is seeded
 once from the strategy's ``start``; after each pick the driver folds the
@@ -65,6 +69,7 @@ from ..synopses.bloom import (
     batch_difference_popcounts,
     pack_bit_row,
     popcount_cardinality_table,
+    row_popcounts,
 )
 from ..synopses.hashsketch import (
     HashSketch,
@@ -154,17 +159,23 @@ class RoutingStats:
 # the reference when candidate ``i`` wins: its synopsis even when the
 # candidate is inactive (zero cardinality, which the naive absorb still
 # unions in after a zero-score tie), the neutral payload when there is
-# nothing to union.  Every statistic is masked by ``active``, so
-# inactive rows never reach a score.
+# nothing to union.  Rows that cannot score (inactive, or an empty
+# synopsis) get a zero cardinality, which every ``rescore`` clamps
+# novelty to, so no per-round mask is needed.
 
 
 class _Kernel:
-    """What every family kernel shares: the packed-row absorb."""
+    """What every family kernel shares: the rows and the packed-row absorb."""
 
     #: The family's ``union`` on packed rows (Aggregate-Synopses).
     union: np.ufunc
-    _rows: np.ndarray
     _reference_row: np.ndarray
+
+    def __init__(
+        self, rows: np.ndarray, cards: Sequence[float], scored: np.ndarray
+    ) -> None:
+        self._rows = rows
+        self._cards = np.where(scored, np.asarray(cards, dtype=np.float64), 0.0)
 
     def absorbed(self, best: int) -> np.ndarray:
         """The reference row with candidate ``best``'s row folded in."""
@@ -188,35 +199,26 @@ class _BloomColumn(_Kernel):
         active: np.ndarray,
         reference: Any,
     ) -> None:
-        self._m = reference.num_bits
-        self._rows = rows
-        self._cards = np.asarray(cards, dtype=np.float64)
+        super().__init__(rows, cards, active)
         self._active = active
         self._table = popcount_cardinality_table(
             reference.num_bits, reference.num_hashes
         )
-        self._reference_row = pack_bit_row(reference.raw_bits, self._m)
+        self._reference_row = pack_bit_row(reference.raw_bits, reference.num_bits)
         self._popcounts = batch_difference_popcounts(rows, self._reference_row)
 
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
-        # A row's difference popcount can only move where it has a bit
-        # the reference flipped.  Absorbs only union bits in, so the
-        # flipped bits are exactly the added ones.
-        flipped = new_row ^ self._reference_row
-        affected = (self._rows & flipped).any(axis=1) & self._active
-        if affected.any():
-            self._popcounts[affected] = batch_difference_popcounts(
-                self._rows[affected], new_row
-            )
+        # Absorbs only union bits in, so ``row AND NOT reference`` loses
+        # exactly the row's bits among the added ones: one popcount pass.
+        lost = row_popcounts(self._rows & (new_row & ~self._reference_row))
+        self._popcounts -= lost
         self._reference_row = new_row
-        return affected
+        return (lost > 0) & self._active
 
     def rescore(self, reference_cardinality: float) -> np.ndarray:
-        novelty = np.minimum(
+        return np.minimum(
             np.maximum(0.0, self._table[self._popcounts]), self._cards
         )
-        novelty[~self._active] = 0.0
-        return novelty
 
 
 class _MipsColumn(_Kernel):
@@ -231,59 +233,46 @@ class _MipsColumn(_Kernel):
         active: np.ndarray,
         reference: Any,
     ) -> None:
-        self._rows = rows
+        self._maintained = active & ~(rows == MIPS_MODULUS).all(axis=1)
+        super().__init__(rows, cards, self._maintained)
         self._common = reference.num_permutations
         self._reference_row = pack_minima_row(reference)
-        self._matches = batch_match_counts(self._rows, self._reference_row)
-        self._cards = np.asarray(cards, dtype=np.float64)
-        self._active = active
-        self._cand_empty = (self._rows == MIPS_MODULUS).all(axis=1)
+        self._matches = batch_match_counts(rows, self._reference_row)
         self._ref_empty = bool((self._reference_row == MIPS_MODULUS).all())
-        self._maintained = active & ~self._cand_empty
 
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         changed = np.nonzero(new_row != self._reference_row)[0]
         if changed.size == 0:
             return np.zeros(len(self._rows), dtype=bool)
         # A row's match count can only change at positions where the
-        # reference minimum changed: either a previous match was
-        # destroyed (row value equals the old non-sentinel minimum) or a
-        # new one was created (row value equals the new minimum, which
-        # is always below the sentinel — reference minima only sink).
+        # reference minimum changed: a previous match is lost where the
+        # row equals the old non-sentinel minimum, and a new one gained
+        # where it equals the new minimum, which is always below the
+        # sentinel — reference minima only sink, so the reference is no
+        # longer empty either.
         sub = self._rows[:, changed]
         old_values = self._reference_row[changed]
-        new_values = new_row[changed]
-        affected = (
-            ((sub == old_values) & (old_values != MIPS_MODULUS))
-            | (sub == new_values)
-        ).any(axis=1)
-        affected &= self._maintained
-        if affected.any():
-            self._matches[affected] = batch_match_counts(
-                self._rows[affected], new_row
-            )
+        lost = ((sub == old_values) & (old_values != MIPS_MODULUS)).sum(axis=1)
+        gained = (sub == new_row[changed]).sum(axis=1)
+        self._matches += gained - lost
         self._reference_row = new_row
-        self._ref_empty = bool((new_row == MIPS_MODULUS).all())
-        return affected
+        self._ref_empty = False
+        return (lost + gained > 0) & self._maintained
 
     def rescore(self, reference_cardinality: float) -> np.ndarray:
         if self._ref_empty:
-            novelty = self._cards.copy()
-        else:
-            resemblance = self._matches / self._common
-            overlap = (
-                resemblance
-                * (reference_cardinality + self._cards)
-                / (resemblance + 1.0)
-            )
-            overlap = np.minimum(
-                np.maximum(overlap, 0.0),
-                np.minimum(reference_cardinality, self._cards),
-            )
-            novelty = np.maximum(0.0, self._cards - overlap)
-        novelty = np.where(self._cand_empty, 0.0, novelty)
-        novelty[~self._active] = 0.0
-        return novelty
+            return self._cards.copy()
+        resemblance = self._matches / self._common
+        overlap = (
+            resemblance
+            * (reference_cardinality + self._cards)
+            / (resemblance + 1.0)
+        )
+        overlap = np.minimum(
+            np.maximum(overlap, 0.0),
+            np.minimum(reference_cardinality, self._cards),
+        )
+        return np.maximum(0.0, self._cards - overlap)
 
 
 class _HashSketchColumn(_Kernel):
@@ -299,7 +288,8 @@ class _HashSketchColumn(_Kernel):
         reference: Any,
     ) -> None:
         self._length = reference.bitmap_length
-        self._rows = rows
+        self._maintained = active & ~(rows == 0).all(axis=1)
+        super().__init__(rows, cards, self._maintained)
         self._reference_row = pack_bitmap_row(reference)
         self._first_zero = first_zero_positions(
             self._rows | self._reference_row, self._length
@@ -308,10 +298,6 @@ class _HashSketchColumn(_Kernel):
         self._table = rho_sum_cardinality_table(
             reference.num_bitmaps, reference.bitmap_length
         )
-        self._cards = np.asarray(cards, dtype=np.float64)
-        self._active = active
-        self._cand_empty = (self._rows == 0).all(axis=1)
-        self._maintained = active & ~self._cand_empty
 
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         touched = np.zeros(len(self._rows), dtype=bool)
@@ -341,12 +327,9 @@ class _HashSketchColumn(_Kernel):
 
     def rescore(self, reference_cardinality: float) -> np.ndarray:
         estimate = self._table[self._rho_sums]
-        novelty = np.minimum(
+        return np.minimum(
             np.maximum(0.0, estimate - reference_cardinality), self._cards
         )
-        novelty = np.where(self._cand_empty, 0.0, novelty)
-        novelty[~self._active] = 0.0
-        return novelty
 
 
 class _LogLogColumn(_Kernel):
@@ -362,7 +345,8 @@ class _LogLogColumn(_Kernel):
         reference: Any,
     ) -> None:
         buckets = reference.num_buckets
-        self._rows = rows
+        self._maintained = active & ~(rows == 0).all(axis=1)
+        super().__init__(rows, cards, self._maintained)
         self._reference_row = pack_register_row(reference)
         self._merged = np.maximum(rows, self._reference_row)
         self._zero_counts = (self._merged == 0).sum(axis=1)
@@ -371,10 +355,6 @@ class _LogLogColumn(_Kernel):
             register_cardinality_tables(buckets)
         )
         self._threshold = buckets * 0.3
-        self._cards = np.asarray(cards, dtype=np.float64)
-        self._active = active
-        self._cand_empty = (rows == 0).all(axis=1)
-        self._maintained = active & ~self._cand_empty
 
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         touched = np.zeros(len(self._merged), dtype=bool)
@@ -398,12 +378,9 @@ class _LogLogColumn(_Kernel):
             self._linear_table[self._zero_counts],
             self._extrapolation_table[self._register_sums],
         )
-        novelty = np.minimum(
+        return np.minimum(
             np.maximum(0.0, estimate - reference_cardinality), self._cards
         )
-        novelty = np.where(self._cand_empty, 0.0, novelty)
-        novelty[~self._active] = 0.0
-        return novelty
 
 
 # -- strategy adapters -------------------------------------------------------
@@ -517,10 +494,7 @@ def _matrix_cardinalities(rows: np.ndarray, reference: Any) -> np.ndarray:
         table = popcount_cardinality_table(
             reference.num_bits, reference.num_hashes
         )
-        words = rows.shape[1]
-        zero_row = np.zeros(words, dtype=np.uint64)
-        popcounts = batch_difference_popcounts(rows, zero_row)
-        return np.asarray(table[popcounts], dtype=np.float64)
+        return np.asarray(table[row_popcounts(rows)], dtype=np.float64)
     if type(reference) is MinWisePermutations:
         length = reference.num_permutations
         fractions = rows / float(MIPS_MODULUS)
@@ -734,25 +708,6 @@ def column_rank_detailed(
 # -- driver ------------------------------------------------------------------
 
 
-def _argmax_with_ties(
-    scores: np.ndarray,
-    qualities_array: np.ndarray,
-    peer_ids: list[str],
-    alive: np.ndarray,
-) -> int:
-    masked = np.where(alive, scores, -np.inf)
-    top = masked.max()
-    tied = np.nonzero(alive & (masked == top))[0]
-    if tied.size > 1:
-        # Highest quality first, then the largest peer id: the order of
-        # the (quality, peer id) key, with only quality ties in Python.
-        tied_qualities = qualities_array[tied]
-        tied = tied[tied_qualities == tied_qualities.max()]
-    if tied.size == 1:
-        return int(tied[0])
-    return max(tied.tolist(), key=peer_ids.__getitem__)
-
-
 def _run_incremental(
     columns: list[Any],
     reference_cardinalities: list[float],
@@ -763,20 +718,27 @@ def _run_incremental(
     stats: RoutingStats,
 ) -> list[tuple[str, float, float]]:
     count = len(peer_ids)
+    # The naive loop breaks score ties by the highest quality, then the
+    # largest peer id.  ``peer_ids`` ascend, so that key is this fixed
+    # order, and each round's pick is the first maximum of the scores
+    # read in it (signed zeros tie both in the sort and in ``argmax``).
+    order = np.lexsort((np.arange(count, dtype=np.int64), qualities_array))[::-1]
+    ordered_qualities = qualities_array[order]
+    picked: list[int] = []  # positions in ``order``, scored ``-inf``
     alive = np.ones(count, dtype=bool)
     stats.novelty_evaluations += count
     plan: list[tuple[str, float, float]] = []
     reference_rows: list[np.ndarray] = []
-    while len(plan) < max_peers and alive.any():
+    for _ in range(min(max_peers, count)):
         stats.rounds += 1
-        stats.naive_evaluations += int(alive.sum())
+        stats.naive_evaluations += count - len(plan)
         if plan:
             # Catch the kernels up with the previous round's absorb —
             # here rather than after it, so the last round pays nothing.
-            touched = np.zeros(count, dtype=bool)
-            for column, row in zip(columns, reference_rows):
-                touched |= column.refresh_reference(row)
-            stats.novelty_evaluations += int((touched & alive).sum())
+            touched = columns[0].refresh_reference(reference_rows[0])
+            for column, row in zip(columns[1:], reference_rows[1:]):
+                touched = touched | column.refresh_reference(row)
+            stats.novelty_evaluations += int(np.count_nonzero(touched & alive))
         per_column = [
             column.rescore(cardinality)
             for column, cardinality in zip(columns, reference_cardinalities)
@@ -784,8 +746,11 @@ def _run_incremental(
         novelty = per_column[0]
         for column_novelty in per_column[1:]:
             novelty = novelty + column_novelty
-        scores = qualities_array * novelty
-        best = _argmax_with_ties(scores, qualities_array, peer_ids, alive)
+        scores = ordered_qualities * novelty[order]
+        scores[picked] = -np.inf
+        position = int(scores.argmax())
+        picked.append(position)
+        best = int(order[position])
         best_novelty = float(novelty[best])
         plan.append((peer_ids[best], float(qualities_array[best]), best_novelty))
         alive[best] = False

@@ -13,6 +13,7 @@ Both IR query models of Section 6.1 are supported:
 
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple, Sequence
 
 from .index import InvertedIndex
@@ -63,8 +64,10 @@ def execute_query(
             for doc_id, score in accumulated.items()
             if matched_terms[doc_id] == required
         }
-    ranked = sorted(
-        (ScoredDocument(score=score, doc_id=doc_id) for doc_id, score in accumulated.items()),
-        reverse=True,
+    # Doc ids are unique, so no two entries compare equal and the ``k``
+    # largest are exactly ``sorted(..., reverse=True)[:k]``.  A list (not
+    # a generator) lets ``nlargest`` just sort when ``k`` covers it.
+    return heapq.nlargest(
+        k,
+        [ScoredDocument(score=score, doc_id=doc_id) for doc_id, score in accumulated.items()],
     )
-    return ranked[:k]

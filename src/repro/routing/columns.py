@@ -187,19 +187,19 @@ def cori_score_array(
     np_peers = context.num_peers
     v_avg = context.average_term_space_size or 1.0
     total = np.zeros(view.count, dtype=np.float64)
-    for gather in view.gathers:
-        cdf = gather.cdf.astype(np.float64)
-        sizes = gather.term_space.astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for gather in view.gathers:
+            cdf = gather.cdf.astype(np.float64)
+            sizes = gather.term_space.astype(np.float64)
             t_component = cdf / ((cdf + 50.0) + (150.0 * sizes) / v_avg)
-        cf = max(1, context.collection_frequency(gather.term))
-        i_component = math.log((np_peers + 0.5) / cf) / math.log(np_peers + 1.0)
-        contribution = np.where(
-            gather.cdf > 0,
-            alpha + (1.0 - alpha) * t_component * i_component,
-            alpha,
-        )
-        total = total + contribution
+            cf = max(1, context.collection_frequency(gather.term))
+            i_component = math.log((np_peers + 0.5) / cf) / math.log(np_peers + 1.0)
+            contribution = np.where(
+                gather.cdf > 0,
+                alpha + (1.0 - alpha) * t_component * i_component,
+                alpha,
+            )
+            total = total + contribution
     return total / float(len(context.query.terms))
 
 

@@ -181,11 +181,17 @@ class ServingFrontend:
 
     # -- server side -------------------------------------------------------
 
+    @staticmethod
+    def _answer_key(
+        peer_id: str, terms: tuple[str, ...], peer_k: int, conjunctive: bool
+    ) -> tuple[str, tuple[str, ...], int, bool]:
+        return (peer_id, tuple(sorted(terms)), peer_k, conjunctive)
+
     def _peer_answer(
         self, peer_id: str, terms: tuple[str, ...], peer_k: int, conjunctive: bool
     ) -> tuple[ScoredDocument, ...] | None:
         """A peer's full local top-``peer_k``, memoized (content is static)."""
-        key = (peer_id, tuple(sorted(terms)), peer_k, conjunctive)
+        key = self._answer_key(peer_id, terms, peer_k, conjunctive)
         cached = self._answers.get(key)
         if cached is not None:
             return cached
@@ -340,6 +346,14 @@ class ServingFrontend:
         engine = executor.engine
         local, view = engine.initiator_seed(
             query, initiator_id, k=self.peer_k, conjunctive=self.conjunctive
+        )
+        # The seed is the initiator's memoized answer, so a later plan
+        # hit for this key does not answer the query again.
+        self._answers.setdefault(
+            self._answer_key(
+                initiator_id, query.terms, self.peer_k, self.conjunctive
+            ),
+            local,
         )
         scoped = yield from executor._assemble(
             query,

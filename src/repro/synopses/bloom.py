@@ -49,6 +49,7 @@ __all__ = [
     "pack_bit_row",
     "unpack_bit_row",
     "batch_difference_popcounts",
+    "row_popcounts",
 ]
 
 
@@ -170,6 +171,18 @@ def bloom_rows(
     return rows
 
 
+def _unpacked_row_popcounts(matrix: np.ndarray) -> np.ndarray:
+    """:func:`row_popcounts` for NumPy < 2.0, which has no ``bitwise_count``."""
+    return np.unpackbits(matrix.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+
+
+def row_popcounts(matrix: np.ndarray) -> np.ndarray:
+    """Per-row popcount of a C-contiguous packed ``uint64`` matrix."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
+    return _unpacked_row_popcounts(matrix)
+
+
 def batch_difference_popcounts(rows: np.ndarray, reference_row: np.ndarray) -> np.ndarray:
     """Popcount of ``row AND NOT reference`` for every packed row.
 
@@ -177,10 +190,7 @@ def batch_difference_popcounts(rows: np.ndarray, reference_row: np.ndarray) -> n
     difference constructions — the Bloom novelty hot loop (Section 5.2's
     ``bf_p AND NOT bf_ref``) reduced to two bitwise ops and a popcount.
     """
-    diff = rows & ~reference_row
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(diff).sum(axis=1, dtype=np.int64)
-    return np.unpackbits(diff.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+    return row_popcounts(rows & ~reference_row)
 
 
 class BloomFilter(SetSynopsis):

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..parallel.seeding import derive_seed
 from ..synopses.base import SetSynopsis
+from ..synopses.bloom import row_popcounts
 from ..synopses.columnstore import (
     LogLogColumn,
     MipsColumn,
@@ -76,15 +77,6 @@ def _fold_ufunc(column: SynopsisColumn) -> np.ufunc:
     if isinstance(column, LogLogColumn):
         return np.maximum
     return np.bitwise_or  # Bloom and hash-sketch bitsets
-
-
-def _popcounts(matrix: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a packed uint64 matrix."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
-    return np.unpackbits(
-        matrix.view(np.uint8), axis=1
-    ).sum(axis=1, dtype=np.int64)
 
 
 def peer_profiles(
@@ -152,8 +144,8 @@ def _similarities(
             sims[:, j] = (profiles == centroids[j]).mean(axis=1)
         return sims
     for j in range(num_centroids):
-        inter = _popcounts(profiles & centroids[j])
-        union = _popcounts(profiles | centroids[j])
+        inter = row_popcounts(profiles & centroids[j])
+        union = row_popcounts(profiles | centroids[j])
         sims[:, j] = inter / np.maximum(union, 1)
     return sims
 

@@ -23,9 +23,10 @@ from repro.core.correlations import CorrelationAwarePerTerm
 from repro.core.fastpath import (
     FastPathUnsupported,
     RoutingStats,
-    _argmax_with_ties,
     _BloomColumn,
     _matrix_cardinalities,
+    _MipsColumn,
+    _run_incremental,
     column_rank_detailed,
 )
 from repro.core.histogram_routing import HistogramAggregation
@@ -36,12 +37,17 @@ from repro.minerva.posts import PeerList, Post
 from repro.routing.base import LocalView, RoutingContext
 from repro.synopses.bloom import (
     BloomFilter,
+    batch_difference_popcounts,
     cardinality_from_popcount,
     pack_bit_row,
 )
 from repro.synopses.columnstore import PeerIdTable
 from repro.synopses.factory import SynopsisSpec
-from repro.synopses.mips import MinWisePermutations
+from repro.synopses.mips import (
+    MinWisePermutations,
+    batch_match_counts,
+    pack_minima_row,
+)
 
 SPEC_LABELS = ("mips-32", "bf-1024", "hs-16", "ll-64")
 AGGREGATIONS = (PerPeerAggregation, PerTermAggregation)
@@ -451,8 +457,73 @@ class TestBloomTier:
                 assert novelty[index] == (scalar if ok else 0.0)
 
 
+class TestIncrementalStatistics:
+    """Each refresh keeps the cached statistics equal to a recount."""
+
+    id_sets = st.sets(st.integers(min_value=0, max_value=80), max_size=40)
+    scenario = (
+        st.lists(st.tuples(id_sets, st.booleans()), min_size=1, max_size=12),
+        id_sets,
+        st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=8),
+    )
+
+    @staticmethod
+    def absorb_each(column, rows, picks):
+        """Fold candidate rows into the reference, as the driver does."""
+        for pick in picks:
+            reference_row = column.absorbed(pick % len(rows))
+            column.refresh_reference(reference_row)
+            yield reference_row
+
+    @given(*scenario)
+    @settings(max_examples=60)
+    def test_bloom_popcounts_equal_a_recount(self, candidates, seed_ids, picks):
+        def build(ids):
+            return BloomFilter.from_ids(ids, num_bits=256, num_hashes=3)
+
+        active = np.array([ok for _, ok in candidates], dtype=bool)
+        rows = np.stack(
+            [pack_bit_row(build(ids).raw_bits, 256) for ids, _ in candidates]
+        )
+        cards = [float(len(ids)) for ids, _ in candidates]
+        column = _BloomColumn(rows, cards, active, build(seed_ids))
+        for reference_row in self.absorb_each(column, rows, picks):
+            recount = batch_difference_popcounts(rows, reference_row)
+            assert column._popcounts[active].tolist() == recount[active].tolist()
+
+    @given(*scenario)
+    @settings(max_examples=60)
+    def test_mips_matches_equal_a_recount(self, candidates, seed_ids, picks):
+        spec = SynopsisSpec.parse("mips-16")
+        active = np.array([ok for _, ok in candidates], dtype=bool)
+        rows = np.stack(
+            [pack_minima_row(spec.build(ids)) for ids, _ in candidates]
+        )
+        cards = [float(len(ids)) for ids, _ in candidates]
+        column = _MipsColumn(rows, cards, active, spec.build(seed_ids))
+        for reference_row in self.absorb_each(column, rows, picks):
+            recount = batch_match_counts(rows, reference_row)
+            assert column._matches[active].tolist() == recount[active].tolist()
+
+
+class FixedNovelty:
+    """A kernel stand-in whose novelty never changes between rounds."""
+
+    def __init__(self, novelty):
+        self.novelty = novelty
+
+    def absorbed(self, best):
+        return np.zeros(1)
+
+    def refresh_reference(self, new_row):
+        return np.zeros(len(self.novelty), dtype=bool)
+
+    def rescore(self, reference_cardinality):
+        return self.novelty.copy()
+
+
 class TestTieBreak:
-    """The vectorized tie-break picks what the (quality, peer id) key did."""
+    """Every round picks what the naive (quality, peer id) key did."""
 
     @staticmethod
     def key_rule(scores, qualities, peer_ids, alive):
@@ -460,36 +531,61 @@ class TestTieBreak:
         tied = np.nonzero(alive & (masked == masked.max()))[0]
         return max(tied.tolist(), key=lambda i: (qualities[i], peer_ids[i]))
 
+    @staticmethod
+    def driver_picks(novelty, qualities, peer_ids):
+        """Candidate indices in the order a full plan picks them."""
+        count = len(peer_ids)
+        plan = _run_incremental(
+            [FixedNovelty(novelty)],
+            [0.0],
+            qualities,
+            peer_ids,
+            MaxPeers(count),
+            count,
+            RoutingStats(mode="incremental"),
+        )
+        return [peer_ids.index(peer_id) for peer_id, _, _ in plan]
+
+    def key_rule_picks(self, novelty, qualities, peer_ids):
+        scores = qualities * novelty
+        alive = np.ones(len(peer_ids), dtype=bool)
+        picks = []
+        while alive.any():
+            best = self.key_rule(scores, qualities, peer_ids, alive)
+            picks.append(best)
+            alive[best] = False
+        return picks
+
     # Few distinct values (with both signed zeros) force score and
-    # quality ties; repeated names exercise the first-maximum rule.
+    # quality ties.  Names are sorted and unique, as
+    # ``ColumnContextView`` delivers them.
     rows = st.lists(
         st.tuples(
             st.sampled_from([0.0, -0.0, 0.5, 1.0]),
             st.sampled_from([0.0, -0.0, 0.25, 1.0]),
-            st.sampled_from(["p0", "p1", "p2", "q", "q0"]),
-            st.booleans(),
+            st.text(alphabet="pq0129", min_size=1, max_size=3),
         ),
         min_size=1,
         max_size=16,
+        unique_by=lambda row: row[2],
     )
 
     @given(rows)
     @settings(max_examples=300)
     def test_matches_the_quality_then_peer_id_key(self, rows):
-        alive = np.array([row[3] for row in rows], dtype=bool)
-        alive[0] = True
-        scores = np.array([row[0] for row in rows], dtype=np.float64)
+        novelty = np.array([row[0] for row in rows], dtype=np.float64)
         qualities = np.array([row[1] for row in rows], dtype=np.float64)
-        peer_ids = [row[2] for row in rows]
-        assert _argmax_with_ties(scores, qualities, peer_ids, alive) == (
-            self.key_rule(scores, qualities, peer_ids, alive)
+        peer_ids = sorted(row[2] for row in rows)
+        assert self.driver_picks(novelty, qualities, peer_ids) == (
+            self.key_rule_picks(novelty, qualities, peer_ids)
         )
 
     def test_signed_zeros_tie(self):
-        scores = np.zeros(3, dtype=np.float64)
-        qualities = np.array([0.0, -0.0, 0.0], dtype=np.float64)
-        alive = np.ones(3, dtype=bool)
-        assert _argmax_with_ties(scores, qualities, ["b", "c", "a"], alive) == 1
+        # Zero scores of both signs tie, and so do zero qualities of
+        # both signs: the largest peer id wins each round.
+        novelty = np.array([0.0, -0.0, 0.0], dtype=np.float64)
+        qualities = np.array([0.0, -0.0, -0.0], dtype=np.float64)
+        assert self.driver_picks(novelty, qualities, ["a", "b", "c"]) == [2, 1, 0]
 
 
 class TestMatrixCardinalities:

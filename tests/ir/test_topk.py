@@ -1,9 +1,11 @@
 """Tests for local top-k query execution."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ir.documents import Corpus, Document
-from repro.ir.index import InvertedIndex
+from repro.ir.index import InvertedIndex, Posting
 from repro.ir.topk import ScoredDocument, execute_query
 
 
@@ -83,6 +85,64 @@ class TestEdges:
     def test_result_type(self, index):
         results = execute_query(index, ("fire",), k=1)
         assert isinstance(results[0], ScoredDocument)
+
+
+class ListIndex:
+    """An index stand-in serving fixed index lists."""
+
+    def __init__(self, lists):
+        self.lists = lists
+
+    def index_list(self, term):
+        return self.lists.get(term, ())
+
+
+class TestTopKSelection:
+    """The top ``k`` are the head of the full descending sort."""
+
+    # Few distinct scores force ties between documents, in the per-term
+    # scores and in their sums.
+    index_lists = st.dictionaries(
+        st.sampled_from("abc"),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=15),
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+            max_size=12,
+        ),
+        max_size=3,
+    )
+
+    @given(
+        index_lists,
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=20),
+        st.booleans(),
+    )
+    def test_matches_the_sorted_head(self, lists, terms, k, conjunctive):
+        index = ListIndex(
+            {
+                term: tuple(Posting(score, doc_id) for doc_id, score in docs.items())
+                for term, docs in lists.items()
+            }
+        )
+        unique_terms = list(dict.fromkeys(terms))
+        sums: dict[int, float] = {}
+        matched: dict[int, int] = {}
+        for term in unique_terms:
+            for doc_id, score in lists.get(term, {}).items():
+                sums[doc_id] = sums.get(doc_id, 0.0) + score
+                matched[doc_id] = matched.get(doc_id, 0) + 1
+        full = sorted(
+            (
+                ScoredDocument(score, doc_id)
+                for doc_id, score in sums.items()
+                if not conjunctive or matched[doc_id] == len(unique_terms)
+            ),
+            reverse=True,
+        )
+        assert execute_query(index, tuple(terms), k=k, conjunctive=conjunctive) == (
+            full[:k]
+        )
 
 
 class TestHashSeedIndependence:

@@ -11,10 +11,12 @@ from repro.core.iqn import IQNRouter
 from repro.datasets.queries import Query, make_query_log
 from repro.ir.documents import Corpus, Document
 from repro.minerva.engine import MinervaEngine
+from repro.minerva.peer import Peer
 from repro.net.cost import MessageKinds
 from repro.serving import ServingFrontend, plan_key
 from repro.simnet.executor import SimNetExecutor
 from repro.synopses.factory import SynopsisSpec
+from tests.topology.conftest import make_topical_engine
 
 SPEC = SynopsisSpec.parse("mips-16")
 QUERY = Query(0, ("apple", "banana"))
@@ -119,6 +121,30 @@ class TestServeBasics:
         assert MessageKinds.PEERLIST_FETCH not in hot_kinds
         assert MessageKinds.DHT_HOP not in hot_kinds
         assert second.value.latency_ms <= first.value.latency_ms
+
+    def test_initiator_answers_once_over_a_cold_and_a_hot_serve(
+        self, monkeypatch
+    ):
+        engine = make_topical_engine()
+        front = make_frontend(host=SimNetExecutor(engine, seed=3))
+        query = Query(0, ("apple", "apricot"))
+        answered = []
+        answer_query = Peer.answer_query
+
+        def counting(peer, terms, **knobs):
+            if peer.peer_id == INITIATOR:
+                answered.append(terms)
+            return answer_query(peer, terms, **knobs)
+
+        monkeypatch.setattr(Peer, "answer_query", counting)
+        cold = front.serve(query, initiator_id=INITIATOR)
+        front.run()
+        hot = front.serve(query, initiator_id=INITIATOR)
+        front.run()
+        assert not cold.value.plan_hit
+        assert hot.value.plan_hit
+        assert hot.value.topk == cold.value.topk
+        assert len(answered) == 1
 
     def test_distinct_initiators_do_not_share_plans(self):
         front = make_frontend()

@@ -13,10 +13,12 @@ import pytest
 
 from repro.synopses.bloom import (
     BloomFilter,
+    _unpacked_row_popcounts,
     batch_difference_popcounts,
     cardinality_from_popcount,
     pack_bit_row,
     popcount_cardinality_table,
+    row_popcounts,
 )
 from repro.synopses.columnstore import LogLogColumn, MipsColumn
 from repro.synopses.hashsketch import (
@@ -79,6 +81,29 @@ class TestBloomKernels:
         for synopsis, popcount in zip(self.filters(2), popcounts.tolist()):
             difference = synopsis.difference(reference)
             assert difference.bit_count == popcount
+
+    @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (7, 3), (40, 32)])
+    def test_row_popcounts_match_python_bit_counts(self, shape):
+        matrix = np.random.default_rng(shape[0]).integers(
+            0, 2**64, size=shape, dtype=np.uint64, endpoint=False
+        )
+        expected = [sum(int(word).bit_count() for word in row) for row in matrix]
+        assert row_popcounts(matrix).tolist() == expected
+
+    @pytest.mark.skipif(
+        not hasattr(np, "bitwise_count"), reason="NumPy < 2.0 has no bitwise_count"
+    )
+    @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (7, 3), (40, 32)])
+    def test_fallback_popcounts_match_bitwise_count(self, shape):
+        # NumPy 1.x (which ``pyproject.toml`` allows) takes the fallback.
+        matrix = np.random.default_rng(shape[1]).integers(
+            0, 2**64, size=shape, dtype=np.uint64, endpoint=False
+        )
+        matrix[:, :1] = np.uint64(2**64 - 1)
+        expected = np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
+        fallback = _unpacked_row_popcounts(matrix)
+        assert fallback.dtype == expected.dtype
+        assert fallback.tolist() == expected.tolist()
 
     def test_popcount_table_matches_estimator(self):
         table = popcount_cardinality_table(self.M, self.K)
