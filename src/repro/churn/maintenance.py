@@ -19,7 +19,7 @@ mechanisms keep it serviceable, all driven by virtual-clock timers that
 The maintainer is pure bookkeeping over the engine's directory; *when*
 any of this runs is the service's business, so all methods take the
 current virtual time explicitly (no clock reads, no wall clock —
-reprolint RPRL007 enforces this for the whole package).
+reprolint RPRL003 enforces this for the whole package).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ Failure semantics, per event kind:
 
 All timers are finite — ticks are pre-scheduled up to the schedule's
 horizon — so :meth:`SimClock.run` always terminates.  Everything is
-driven by the virtual clock and seeded RNG streams; reprolint RPRL007
+driven by the virtual clock and seeded RNG streams; reprolint RPRL003
 keeps wall-clock calls out of this package.
 """
 
@@ -72,7 +72,7 @@ class DirectoryEvent:
     - ``expire`` — a TTL sweep dropped stale Posts for ``terms``;
     - ``evict`` — stabilization evicted ``peer_id``'s directory node
       and re-replicated its key range;
-    - ``reelect`` — a hierarchical topology re-elected a super-peer
+    - ``reelect`` — the super-peer tier re-elected a super-peer
       after its predecessor went down: ``peer_id`` is the *new* super,
       ``members`` the cluster's surviving peers, ``terms`` the terms
       whose merged cluster synopses were rebuilt.  Serving caches use
@@ -140,11 +140,10 @@ class ChurnService:
         )
         self.maintainer = DirectoryMaintainer(engine, self.maintenance)
         self.stats = ChurnStats()
-        #: Crashed peers whose ring nodes stabilization has not yet evicted.
+        #: Crashed peers stabilization has not yet detected: their ring
+        #: nodes still stand and the topology has not been told (super-
+        #: peer re-election shares the crash *detection* latency).
         self._pending_eviction: list[str] = []
-        #: Crashed peers the topology has not yet been told about —
-        #: super-peer re-election shares the crash *detection* latency.
-        self._pending_reelection: list[str] = []
         self._listeners: list[Callable[[DirectoryEvent], None]] = []
         self._schedule_all()
 
@@ -253,8 +252,6 @@ class ChurnService:
             return
         self.executor.transport.crash(peer_id)
         self._pending_eviction.append(peer_id)
-        if self.engine.topology.hierarchical:
-            self._pending_reelection.append(peer_id)
         self.stats.crashes += 1
         self._emit("crash", peer_id=peer_id)
 
@@ -284,11 +281,9 @@ class ChurnService:
         self.executor.transport.recover(peer_id)
         if peer_id in self._pending_eviction:
             # Crashed and back before stabilization noticed: the node
-            # (store intact) never left the ring; nothing to repair.
+            # (store intact) never left the ring and the topology never
+            # saw the peer down; nothing to repair.
             self._pending_eviction.remove(peer_id)
-        if peer_id in self._pending_reelection:
-            # Back before detection: the topology never saw it down.
-            self._pending_reelection.remove(peer_id)
         else:
             self.engine.topology.handle_peer_up(peer_id)
         self.stats.reposts += self._charged(
@@ -348,13 +343,11 @@ class ChurnService:
             self.stats.keys_re_replicated += copied
             for peer_id in pending:
                 self._emit("evict", peer_id=peer_id)
-        if self._pending_reelection:
             # Detection fires here, so re-election shares the eviction
             # latency; sorted order keeps same-tick processing
             # deterministic regardless of crash insertion order.
-            for peer_id in sorted(self._pending_reelection):
+            for peer_id in pending:
                 self._notify_topology_down(peer_id)
-            self._pending_reelection.clear()
         expired = self.maintainer.sweep_detailed(self.clock.now)
         self.stats.posts_expired += len(expired)
         if expired:

@@ -146,10 +146,16 @@ class Directory:
         """
         lookup = self.ring.lookup(term, start_node=self._start_node(requester))
         self.cost.record(MessageKinds.DHT_HOP, count=lookup.hops)
-        stored = self.ring.node(lookup.owner).store.get(self.ring.key_id(term))
+        stored = self.list_at(lookup.owner, term)
+        self.cost.record(MessageKinds.PEERLIST_FETCH, bits=stored.size_in_bits)
+        return stored
+
+    def list_at(self, node_id: int, term: str) -> PeerList:
+        """``term``'s PeerList as ring node ``node_id`` stores it (may be
+        empty), uncharged: the read behind every PeerList fetch."""
+        stored = self.ring.node(node_id).store.get(self.ring.key_id(term))
         if stored is None:
             stored = PeerList(term=term, peer_table=self.peer_table)
-        self.cost.record(MessageKinds.PEERLIST_FETCH, bits=stored.size_in_bits)
         return stored
 
     def peer_lists(

@@ -432,14 +432,11 @@ class MinervaEngine:
     ) -> RoutingContext:
         """Assemble the routing context via the topology (Section 4).
 
-        The topology owns candidate assembly: :class:`FlatTopology`
-        fetches one full PeerList per term (or, with ``peer_list_limit``,
-        the distributed quality-ordered top-k fetch of
-        :mod:`repro.minerva.topk_peers`, whose partial lists routing then
-        sees — the approximation the paper accepts "for efficiency
-        reasons").  A hierarchical topology instead ranks clusters and
-        returns only the winning clusters' member posts; ``max_peers``
-        lets it derive its cluster budget from the query's peer budget.
+        See :meth:`RoutingTopology.assemble
+        <repro.topology.base.RoutingTopology.assemble>`; with
+        ``peer_list_limit`` routing sees the partial lists of the top-k
+        fetch, the approximation the paper accepts "for efficiency
+        reasons".
         """
         local_view = self.local_view(
             query, initiator_id, k=k, conjunctive=conjunctive

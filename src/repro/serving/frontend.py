@@ -11,7 +11,8 @@ steps:
    engine's query pipeline up to the plan — entry, seed, the executor's
    networked assembly, context and plan (reference synopses memoized
    through the :class:`~repro.serving.cache.ReferenceSynopsisCache`) —
-   and cache the ranked plan with per-peer score bounds.  On a hit,
+   and cache the ranked plan with per-peer score bounds unless the
+   assembly degraded (a failed term or a topology fallback).  On a hit,
    skip assembly and planning: no directory traffic, no ranking delay.
 2. **stream** — pull score-sorted result batches from the planned peers
    in synchronized rounds, closing each stream as soon as the
@@ -355,7 +356,7 @@ class ServingFrontend:
             ),
             local,
         )
-        scoped = yield from executor._assemble(
+        scoped = yield from executor.assemble(
             query,
             initiator_id,
             cost,
@@ -393,10 +394,13 @@ class ServingFrontend:
             terms=key.terms,
             epoch=self.synopsis_cache.epoch,
         )
-        if not failed_terms:
+        if not failed_terms and not scoped.topology_fallbacks:
+            # A degraded assembly's plan would outlive the fault: no
+            # event invalidates it when the fault clears (a re-election
+            # cannot drop a plan that skipped the cluster's members).
             self.plan_cache.store(key, plan)
         if executor.routing_ms:
-            yield executor._sleep(executor.routing_ms)
+            yield executor.clock.sleep(executor.routing_ms)
         return plan, local, failed_terms
 
     def _serve_job(

@@ -72,6 +72,12 @@ class SimClock:
         heapq.heappush(self._heap, (time_ms, handle, fn))
         return handle
 
+    def sleep(self, delay_ms: float) -> SimFuture:
+        """A future resolving ``delay_ms`` from now: a coroutine's pause."""
+        future = SimFuture()
+        self.schedule(delay_ms, future.resolve)
+        return future
+
     def cancel(self, handle: int) -> None:
         """Cancel a scheduled event (a no-op if it already fired)."""
         self._cancelled.add(handle)

@@ -6,12 +6,16 @@ plan, forward, measure — see :mod:`repro.minerva.engine`) over a
 :class:`~repro.simnet.transport.Transport` in virtual time.  It supplies
 the two stages that become messages:
 
-- **assemble** (:meth:`SimNetExecutor._assemble`) — on a flat topology
-  one RPC per query term, routed along the actual Chord lookup path
-  (each hop a message adding latency and link load) and answered by the
-  owning peer from its directory node's store; over a super-peer tier a
-  cluster-directory fetch from the initiator's super-peer plus one
-  member fetch per winning cluster;
+- **assemble** (:meth:`SimNetExecutor.assemble`) — the networked driver
+  of the topology's assembly (:meth:`RoutingTopology.assembly
+  <repro.topology.base.RoutingTopology.assembly>`).  Each directory
+  request the assembly yields is one RPC: a PeerList fetch travels the
+  actual Chord lookup path (each hop a message adding latency and link
+  load) to the owning peer; any other request goes straight to the peer
+  the topology names (:meth:`~repro.topology.base.RoutingTopology.server_of`).
+  One handler per peer answers them all through
+  :meth:`~repro.topology.base.RoutingTopology.answer`, and a request
+  that never gets a reply is sent back to the assembly as ``None``;
 - **forward** — one RPC per selected peer, fanned out concurrently;
   each peer serves its local top-k after a service time, and a peer
   that never answers is replaced by the next-ranked spare.
@@ -49,22 +53,17 @@ from ..minerva.engine import (
     QueryOutcome,
     check_query_knobs,
 )
-from ..minerva.posts import PeerList
 from ..net.cost import CostModel, MessageKinds
 from ..net.latency import LatencyProfile
-from ..routing.base import LocalView, PeerSelector, SeedSynopses
+from ..routing.base import LocalView, PeerSelector
 from ..synopses.factory import SynopsisSpec
-from ..topology.base import ScopedLists
-from ..topology.superpeer import SuperPeerTopology
+from ..topology.base import DirectoryRequest, ScopedLists
 from .clock import SimClock, SimFuture, arrival_times, gather, spawn
 from .faults import FaultPlan
 from .rpc import RetryPolicy, RpcHandler, RpcLayer, RpcResult
 from .transport import Transport
 
 __all__ = ["NetworkedQueryOutcome", "SimNetExecutor"]
-
-#: Bits for a PeerList request: a 64-bit header plus one term token.
-PEERLIST_REQUEST_BITS = 96
 
 
 @dataclass(frozen=True)
@@ -196,43 +195,29 @@ class SimNetExecutor:
         }
         self._jobs: list[SimFuture] = []
         for peer_id in engine.peers:
-            self.rpc.serve(
-                peer_id, MessageKinds.PEERLIST_FETCH, self._serve_peerlist(peer_id)
-            )
+            directory_handler = self._serve_directory(peer_id)
+            for kind in (
+                MessageKinds.PEERLIST_FETCH,
+                MessageKinds.CLUSTER_FETCH,
+                MessageKinds.MEMBER_FETCH,
+            ):
+                self.rpc.serve(peer_id, kind, directory_handler)
             self.rpc.serve(
                 peer_id, MessageKinds.QUERY_FORWARD, self._serve_query(peer_id)
             )
-        if engine.topology.hierarchical:
-            for peer_id in engine.peers:
-                self.rpc.serve(
-                    peer_id, MessageKinds.CLUSTER_FETCH, self._serve_clusters(peer_id)
-                )
-                self.rpc.serve(
-                    peer_id, MessageKinds.MEMBER_FETCH, self._serve_members(peer_id)
-                )
-            profile_of = getattr(engine.topology, "latency_profile_of", None)
-            if profile_of is not None:
-                # Intra- vs inter-cluster links get their own latency
-                # profiles; flat topologies leave the transport untouched.
-                self.transport.profile_of = profile_of
+        self.transport.profile_of = engine.topology.latency_profile_of
 
     # -- server side -----------------------------------------------------------
 
-    def _serve_peerlist(self, peer_id: str) -> RpcHandler:
-        """Handler: serve a term's PeerList from this peer's directory node."""
+    def _serve_directory(self, peer_id: str) -> RpcHandler:
+        """Handler: answer a directory request from this peer's state."""
 
-        def handler(term: str) -> tuple[PeerList, int, float] | None:
+        def handler(request: DirectoryRequest) -> tuple[Any, int, float] | None:
             node_id = self.engine.directory._node_of_peer.get(peer_id)
             if node_id is None:
                 return None  # departed since construction: no reply
-            stored = self.engine.ring.node(node_id).store.get(
-                self.engine.ring.key_id(term)
-            )
-            if stored is None:
-                stored = PeerList(
-                    term=term, peer_table=self.engine.directory.peer_table
-                )
-            return stored, stored.size_in_bits, self.directory_service_ms
+            [(reply, bits)] = self.engine.topology.answer([request], node_id)
+            return reply, bits, self.directory_service_ms
 
         return handler
 
@@ -248,35 +233,6 @@ class SimNetExecutor:
                 return None  # departed since construction: no reply
             results = tuple(peer.answer_query(terms, k=k, conjunctive=conjunctive))
             return results, RESULT_ENTRY_BITS * len(results), self.peer_service_ms
-
-        return handler
-
-    def _serve_clusters(self, peer_id: str) -> RpcHandler:
-        """Handler: a super-peer serving the per-term cluster directory."""
-
-        def handler(terms: tuple[str, ...]) -> tuple[Any, int, float] | None:
-            if peer_id not in self.engine.peers:
-                return None  # departed since construction: no reply
-            topology = self.engine.topology
-            assert isinstance(topology, SuperPeerTopology)
-            lists, bits = topology.cluster_peer_lists(tuple(terms))
-            return lists, bits, self.directory_service_ms
-
-        return handler
-
-    def _serve_members(self, peer_id: str) -> RpcHandler:
-        """Handler: a winning cluster's super-peer shipping member slices."""
-
-        def handler(
-            payload: tuple[str, tuple[str, ...]]
-        ) -> tuple[Any, int, float] | None:
-            label, terms = payload
-            if peer_id not in self.engine.peers:
-                return None  # departed since construction: no reply
-            topology = self.engine.topology
-            assert isinstance(topology, SuperPeerTopology)
-            lists_by_term, bits = topology.member_posts(label, tuple(terms))
-            return lists_by_term, bits, self.directory_service_ms
 
         return handler
 
@@ -407,7 +363,7 @@ class SimNetExecutor:
         )
 
         # Phase 1 — candidate assembly as directory messages.
-        scoped = yield from self._assemble(
+        scoped = yield from self.assemble(
             query,
             initiator_id,
             cost,
@@ -428,7 +384,7 @@ class SimNetExecutor:
         selected = plan.selected[:max_peers]
         spares = list(plan.selected[max_peers:])
         if self.routing_ms:
-            yield self._sleep(self.routing_ms)
+            yield self.clock.sleep(self.routing_ms)
 
         # Phase 3 — forward to every selected peer concurrently; merge
         # whatever came back before the retries ran out.  A selected
@@ -513,7 +469,7 @@ class SimNetExecutor:
             topology_fallbacks=scoped.topology_fallbacks,
         )
 
-    def _assemble(
+    def assemble(
         self,
         query: Query,
         initiator_id: str,
@@ -525,188 +481,108 @@ class SimNetExecutor:
         successor_fallback: bool,
         spec: SynopsisSpec | None = None,
     ) -> Generator[SimFuture, Any, ScopedLists]:
-        """Networked candidate assembly: the PeerLists one query routes over.
+        """Networked driver: the topology's assembly, one RPC per request.
 
-        On a flat topology this is the per-term fetch.  Over a
-        super-peer tier the initiator asks its own super-peer for the
-        per-term cluster directory (one ``cluster_fetch`` RPC — a direct
-        link, no DHT hops), ranks clusters locally seeded by
-        ``initiator``, then pulls each winning cluster's member slices
-        from that cluster's super-peer (one ``member_fetch`` RPC per
-        winner).  An unreachable super-peer degrades to the full flat
-        fetch and a winning cluster whose member fetch never answers is
-        skipped; both count as topology fallbacks.  Cluster ranking
-        builds its seed synopses with ``spec`` (the engine's by default)
-        into the returned ``seed_synopses``; phase two must use the same
-        spec to reuse them.  Messages are charged to ``cost``.
+        A batch of requests goes out concurrently.  With
+        ``successor_fallback`` a failed PeerList fetch is retried once at
+        the owner's current ring successor before the assembly hears
+        ``None``; retries run one at a time, in request order.  Messages
+        are charged to ``cost``.  The other keywords go to
+        :meth:`~repro.topology.base.RoutingTopology.assembly`.
         """
-        topology = self.engine.topology
-        if not topology.hierarchical:
-            return (
-                yield from self._fetch_peer_lists(
-                    query, initiator_id, cost, successor_fallback
-                )
-            )
-        assert isinstance(topology, SuperPeerTopology)
-        unique_terms = tuple(dict.fromkeys(query.terms))
-        request_bits = QUERY_HEADER_BITS + QUERY_TERM_BITS * len(unique_terms)
-        super_id = topology.super_peer_of(initiator_id) or initiator_id
-        reply: RpcResult = yield self.rpc.call(
-            initiator_id,
-            super_id,
-            MessageKinds.CLUSTER_FETCH,
-            payload=unique_terms,
-            request_bits=request_bits,
-        )
-        if not reply.ok:
-            cost.record(MessageKinds.CLUSTER_FETCH, count=reply.attempts)
-            scoped = yield from self._fetch_peer_lists(
-                query, initiator_id, cost, successor_fallback
-            )
-            scoped.directory_attempts += reply.attempts
-            scoped.topology_fallbacks = 1
-            return scoped
-        cluster_lists: dict[str, PeerList] = reply.value
-        cost.record(
-            MessageKinds.CLUSTER_FETCH,
-            bits=sum(pl.size_in_bits for pl in cluster_lists.values()),
-            count=reply.attempts,
-        )
-        seed_synopses: SeedSynopses = {}
-        winners = topology.rank_clusters(
+        steps = self.engine.topology.assembly(
             query,
             initiator=initiator,
             conjunctive=conjunctive,
-            budget=topology.resolve_cluster_budget(max_peers),
-            seed_synopses=seed_synopses,
+            max_peers=max_peers,
             spec=spec,
         )
-        member_replies: list[RpcResult] = yield gather(
-            [
-                self.rpc.call(
-                    initiator_id,
-                    topology.super_of_cluster(label),
-                    MessageKinds.MEMBER_FETCH,
-                    payload=(label, unique_terms),
-                    request_bits=request_bits,
+        attempts = fallbacks = 0
+        requests = next(steps)
+        while True:
+            calls = [self._send(request, initiator_id) for request in requests]
+            results: list[RpcResult] = yield gather([call for call, _ in calls])
+            replies: list[Any] = []
+            for request, (_, hops), result in zip(requests, calls, results):
+                attempts += result.attempts
+                key = request.dht_key
+                if key is not None:
+                    cost.record(MessageKinds.DHT_HOP, count=hops * result.attempts)
+                reply = self._charge(request, result, cost)
+                target = (
+                    self._fallback_directory_peer(key, result.peer_id)
+                    if reply is None and key is not None and successor_fallback
+                    else None
                 )
-                for label in winners
-            ]
-        )
-        scoped = ScopedLists(
-            peer_lists={},
-            clusters_ranked=tuple(winners),
-            super_fetches=1,
-            seed_synopses=seed_synopses,
-            directory_attempts=reply.attempts,
-        )
-        answered: list[dict[str, PeerList]] = []
-        scope_size = 0
-        for label, member_reply in zip(winners, member_replies):
-            scoped.directory_attempts += member_reply.attempts
-            if not member_reply.ok:
-                cost.record(MessageKinds.MEMBER_FETCH, count=member_reply.attempts)
-                scoped.topology_fallbacks += 1
-                continue
-            scoped.super_fetches += 1
-            lists_by_term: dict[str, PeerList] = member_reply.value
-            cost.record(
-                MessageKinds.MEMBER_FETCH,
-                bits=sum(pl.size_in_bits for pl in lists_by_term.values()),
-                count=member_reply.attempts,
-            )
-            answered.append(lists_by_term)
-            scope_size += len(topology.live_members(label))
-        scoped.peer_lists = topology.merge_member_lists(unique_terms, answered)
-        scoped.scope_size = scope_size
-        return scoped
-
-    def _fetch_peer_lists(
-        self,
-        query: Query,
-        initiator_id: str,
-        cost: CostModel,
-        successor_fallback: bool,
-    ) -> Generator[SimFuture, Any, ScopedLists]:
-        """Flat networked assembly: fetch every term's PeerList.
-
-        Issues one PEERLIST_FETCH per query term concurrently, each
-        routed along the real Chord lookup path, charging DHT hops and
-        payload bits to ``cost``.  A term whose directory stayed
-        unreachable contributes an empty PeerList and lands in
-        ``failed_terms``.
-        """
-        engine = self.engine
-        start_node = engine.directory._node_of_peer.get(initiator_id)
-        hops_by_term: dict[str, int] = {}
-        calls = []
-        for term in query.terms:
-            lookup = engine.ring.lookup(term, start_node=start_node)
-            hops_by_term[term] = lookup.hops
-            calls.append(
-                self.rpc.call(
-                    initiator_id,
-                    self._peer_of_node[lookup.owner],
-                    MessageKinds.PEERLIST_FETCH,
-                    payload=term,
-                    request_bits=PEERLIST_REQUEST_BITS,
-                    via=[self._peer_of_node[n] for n in lookup.path[1:-1]],
-                )
-            )
-        responses: list[RpcResult] = yield gather(calls)
-        scoped = ScopedLists(peer_lists={})
-        peer_lists = scoped.peer_lists
-        failed_terms: list[str] = []
-        for term, response in zip(query.terms, responses):
-            scoped.directory_attempts += response.attempts
-            cost.record(
-                MessageKinds.DHT_HOP,
-                count=hops_by_term[term] * response.attempts,
-            )
-            if response.ok:
-                peer_lists[term] = response.value
-                cost.record(
-                    MessageKinds.PEERLIST_FETCH,
-                    bits=response.value.size_in_bits,
-                    count=response.attempts,
-                )
-                continue
-            cost.record(MessageKinds.PEERLIST_FETCH, count=response.attempts)
-            if successor_fallback:
-                # Stale route: the owner we looked up no longer answers.
-                # Re-resolve on the (possibly repaired) ring and retry
-                # once at the current owner — or, if that is still the
-                # dead node, at its successor, where the replica lives.
-                target = self._fallback_directory_peer(term, response.peer_id)
                 if target is not None:
-                    scoped.directory_fallbacks += 1
+                    # Stale route: retry once where the key lives now.
+                    fallbacks += 1
                     retry: RpcResult = yield self.rpc.call(
                         initiator_id,
                         target,
-                        MessageKinds.PEERLIST_FETCH,
-                        payload=term,
-                        request_bits=PEERLIST_REQUEST_BITS,
+                        request.kind,
+                        payload=request,
+                        request_bits=self._request_bits(request),
                     )
-                    scoped.directory_attempts += retry.attempts
-                    if retry.ok:
-                        peer_lists[term] = retry.value
-                        cost.record(
-                            MessageKinds.PEERLIST_FETCH,
-                            bits=retry.value.size_in_bits,
-                            count=retry.attempts,
-                        )
-                        continue
-                    cost.record(
-                        MessageKinds.PEERLIST_FETCH, count=retry.attempts
-                    )
-            # Directory unreachable for this term: route with what we
-            # have rather than failing the query.
-            peer_lists[term] = PeerList(
-                term=term, peer_table=engine.directory.peer_table
-            )
-            failed_terms.append(term)
-        scoped.failed_terms = tuple(failed_terms)
+                    attempts += retry.attempts
+                    reply = self._charge(request, retry, cost)
+                replies.append(reply)
+            try:
+                requests = steps.send(replies)
+            except StopIteration as done:
+                scoped: ScopedLists = done.value
+                break
+        scoped.directory_attempts = attempts
+        scoped.directory_fallbacks = fallbacks
         return scoped
+
+    def _send(
+        self, request: DirectoryRequest, initiator_id: str
+    ) -> tuple[SimFuture, int]:
+        """Send one directory request; the call and its DHT hops.
+
+        A request with a DHT key travels the Chord lookup path from the
+        initiator's ring node to the key's owner; any other goes
+        straight to the peer the topology names.
+        """
+        key = request.dht_key
+        via: list[str] = []
+        hops = 0
+        if key is None:
+            server = self.engine.topology.server_of(request, initiator_id)
+        else:
+            lookup = self.engine.ring.lookup(
+                key, start_node=self.engine.directory._node_of_peer.get(initiator_id)
+            )
+            server = self._peer_of_node[lookup.owner]
+            via = [self._peer_of_node[node] for node in lookup.path[1:-1]]
+            hops = lookup.hops
+        call = self.rpc.call(
+            initiator_id,
+            server,
+            request.kind,
+            payload=request,
+            request_bits=self._request_bits(request),
+            via=via,
+        )
+        return call, hops
+
+    @staticmethod
+    def _request_bits(request: DirectoryRequest) -> int:
+        return QUERY_HEADER_BITS + QUERY_TERM_BITS * len(request.terms)
+
+    @staticmethod
+    def _charge(request: DirectoryRequest, result: RpcResult, cost: CostModel) -> Any:
+        """Charge one directory RPC; its reply, or None if it failed.
+
+        A reply is charged its size on arrival, the state routing reads.
+        """
+        if not result.ok:
+            cost.record(request.kind, count=result.attempts)
+            return None
+        bits = request.reply_bits(result.value)
+        cost.record(request.kind, bits=bits, count=result.attempts)
+        return result.value
 
     def _fallback_directory_peer(self, term: str, dead_peer: str) -> str | None:
         """Where to retry a PeerList fetch after ``dead_peer`` went silent.
@@ -731,11 +607,6 @@ class SimNetExecutor:
             ):
                 return peer_id
         return None
-
-    def _sleep(self, delay_ms: float) -> SimFuture:
-        future = SimFuture()
-        self.clock.schedule(delay_ms, future.resolve)
-        return future
 
     def __repr__(self) -> str:
         return (

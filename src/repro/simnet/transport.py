@@ -94,10 +94,9 @@ class Transport:
         self.clock = clock
         self.profile = profile or LatencyProfile()
         #: Optional per-link profile override ``(src, dst) -> profile``;
-        #: a hierarchical topology installs its intra-/inter-cluster
-        #: profiles here (returning None keeps the base profile for that
-        #: link).  Unset, every link uses :attr:`profile` — the flat
-        #: behavior, bit-identical to before this hook existed.
+        #: the executor installs its topology's ``latency_profile_of``
+        #: here (returning None keeps the base profile for that link).
+        #: Unset, every link uses :attr:`profile`.
         self.profile_of: Callable[[str, str], LatencyProfile | None] | None = None
         self.faults = faults or FaultPlan()
         self.rng = random.Random(seed)

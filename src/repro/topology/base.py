@@ -1,35 +1,33 @@
 """Pluggable routing topologies: who assembles a query's candidate peers.
 
-Historically every query path — the in-process engine, the simulated
-network executor, the serving frontend — reached straight into the flat
-global directory: one full PeerList fetch per query term.  That
-hard-codes the paper's single-level architecture.  This package lifts
-candidate-peer assembly, directory lookup, and plan scoping behind one
-object, :class:`RoutingTopology`, with two implementations:
+One object, :class:`RoutingTopology`, owns candidate-peer assembly,
+directory lookup, and plan scoping:
 
-- :class:`~repro.topology.flat.FlatTopology` — today's behavior,
-  bit-identical plans and costs;
+- :class:`~repro.topology.flat.FlatTopology` — the paper's flat
+  directory: one full PeerList fetch per query term;
 - :class:`~repro.topology.superpeer.SuperPeerTopology` — a two-level
   super-peer tier (Ismail et al.): peers are clustered by synopsis
   similarity, each cluster elects a super-peer holding merged cluster
-  synopses, and IQN runs twice — first across clusters, then across the
-  winning clusters' members under a split budget.
+  synopses, and IQN runs first across clusters, then across the winning
+  clusters' members under a split budget.
 
-The contract is deliberately small.  A topology is *bound* to a host
-(anything exposing a directory, a synopsis spec, and a peer count), and
-then answers three questions per query:
-
-1. :meth:`RoutingTopology.assemble` — which PeerLists does the initiator
-   see, and what did fetching them cost?
-2. :meth:`RoutingTopology.context_for` — wrap those lists into the
-   :class:`~repro.routing.base.RoutingContext` the selectors consume.
-3. :meth:`RoutingTopology.plan` — run the selector over the (possibly
-   scoped) context and report the plan with topology diagnostics.
+A topology is *bound* to a host (anything exposing a directory, a
+synopsis spec, and a peer count) and writes its assembly once, as a
+generator (:meth:`RoutingTopology.assembly`).  The generator yields
+batches of directory requests (:class:`PeerListFetch`,
+:class:`ClusterFetch`, :class:`MemberFetch`) and is sent one reply per
+request, ``None`` where the request failed, so a failure is handled
+next to the happy path.  Two drivers answer the requests, and only they
+differ: :meth:`RoutingTopology.assemble` in-process from the host's
+directory, :class:`~repro.simnet.executor.SimNetExecutor` as one RPC
+each.  Both read replies through :meth:`RoutingTopology.answer`.
+:meth:`RoutingTopology.context_for` and :meth:`RoutingTopology.plan`
+then turn the lists into a ranked plan.
 
 Churn integration happens through :meth:`RoutingTopology.handle_peer_down`
-/ :meth:`~RoutingTopology.handle_peer_up`, which hierarchical topologies
-use for deterministic super-peer re-election and cluster-synopsis
-rebuilds (surfaced as ``reelect`` events on the
+/ :meth:`~RoutingTopology.handle_peer_up`, which the super-peer tier
+uses for deterministic re-election and cluster-synopsis rebuilds
+(surfaced as ``reelect`` events on the
 :class:`~repro.churn.service.ChurnService` feed).
 """
 
@@ -37,18 +35,25 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Any, ClassVar, Generator, Protocol, Sequence, Union
 
 from ..datasets.queries import Query
 from ..minerva.directory import Directory
 from ..minerva.posts import PeerList
+from ..net.cost import MessageKinds
 from ..routing.base import LocalView, PeerSelector, RoutingContext, SeedSynopses
 from ..synopses.factory import SynopsisSpec
 
 if TYPE_CHECKING:  # annotation only — fastpath imports stay off this path
     from ..core.fastpath import RoutingStats
+    from ..net.latency import LatencyProfile
 
 __all__ = [
+    "Assembly",
+    "ClusterFetch",
+    "DirectoryRequest",
+    "MemberFetch",
+    "PeerListFetch",
     "TopologyHost",
     "ScopedLists",
     "TopologyPlan",
@@ -72,6 +77,58 @@ class TopologyHost(Protocol):
     def num_peers(self) -> int: ...
 
 
+def _lists_bits(reply: dict[str, PeerList]) -> int:
+    return sum(peer_list.size_in_bits for peer_list in reply.values())
+
+
+@dataclass(frozen=True)
+class PeerListFetch:
+    """``term``'s PeerList, routed over the DHT to the term's owner."""
+
+    term: str
+    kind: ClassVar[str] = MessageKinds.PEERLIST_FETCH
+
+    @property
+    def terms(self) -> tuple[str, ...]:
+        return (self.term,)
+
+    @property
+    def dht_key(self) -> str:
+        return self.term
+
+    @staticmethod
+    def reply_bits(reply: PeerList) -> int:
+        return reply.size_in_bits
+
+
+@dataclass(frozen=True)
+class ClusterFetch:
+    """The merged cluster lists of ``terms``, asked of a super-peer.
+
+    It and :class:`MemberFetch` have no DHT key: they go straight to
+    the peer :meth:`RoutingTopology.server_of` names.
+    """
+
+    terms: tuple[str, ...]
+    kind: ClassVar[str] = MessageKinds.CLUSTER_FETCH
+    dht_key: ClassVar[None] = None
+    reply_bits = staticmethod(_lists_bits)
+
+
+@dataclass(frozen=True)
+class MemberFetch:
+    """Cluster ``label``'s live members' slices of ``terms``' PeerLists."""
+
+    label: str
+    terms: tuple[str, ...]
+    kind: ClassVar[str] = MessageKinds.MEMBER_FETCH
+    dht_key: ClassVar[None] = None
+    reply_bits = staticmethod(_lists_bits)
+
+
+DirectoryRequest = Union[PeerListFetch, ClusterFetch, MemberFetch]
+
+
 @dataclass
 class ScopedLists:
     """The candidate PeerLists one query sees, plus scoping diagnostics.
@@ -79,8 +136,8 @@ class ScopedLists:
     ``scope_size`` is ``None`` for an unrestricted (flat) assembly; for
     a hierarchical assembly it counts the peers routing may select from
     (the winning clusters' live members).  The fetch counters are filled
-    by networked assembly (:class:`~repro.simnet.executor.SimNetExecutor`),
-    where directory lookups can fail; in-process assembly leaves them 0.
+    by networked assembly, where directory requests can fail; in-process
+    assembly leaves them 0.
     """
 
     peer_lists: dict[str, PeerList]
@@ -103,6 +160,10 @@ class ScopedLists:
     #: Hierarchical fetches that degraded: an unreachable super-peer
     #: (full flat re-fetch) or a winning cluster that never answered.
     topology_fallbacks: int = 0
+
+
+#: Yields request batches, is sent one reply each (``None`` = failed).
+Assembly = Generator[list[DirectoryRequest], list[Any], ScopedLists]
 
 
 @dataclass(frozen=True)
@@ -135,11 +196,6 @@ class ReElection:
 class RoutingTopology(ABC):
     """Owns candidate-peer assembly, directory lookup, and plan scoping."""
 
-    #: True when queries route through a super-peer tier; networked
-    #: assembly (:class:`~repro.simnet.executor.SimNetExecutor`) branches
-    #: on this to use the two-phase fetch messages.
-    hierarchical: bool = False
-
     def __init__(self) -> None:
         self._host: TopologyHost | None = None
 
@@ -161,13 +217,62 @@ class RoutingTopology(ABC):
             )
         return self._host
 
-    @property
-    def bound(self) -> bool:
-        return self._host is not None
-
     # -- query pipeline --------------------------------------------------
 
-    @abstractmethod
+    def assembly(
+        self,
+        query: Query,
+        *,
+        initiator: LocalView | None = None,
+        conjunctive: bool = False,
+        max_peers: int | None = None,
+        spec: SynopsisSpec | None = None,
+    ) -> Assembly:
+        """This topology's assembly of ``query``'s PeerLists, as requests.
+
+        The directory's own: one PeerList fetch per query term, in query
+        order.  A term whose fetch failed routes over an empty PeerList
+        and lands in ``failed_terms``.  The keywords serve the super-peer
+        tier's cluster ranking: ``initiator`` seeds its reference
+        synopsis, ``max_peers`` sets its cluster budget, and ``spec``
+        overrides the host's synopsis spec for the seeds it builds
+        (phase two must use the same spec to reuse them).
+        """
+        replies = yield [PeerListFetch(term) for term in query.terms]
+        scoped = ScopedLists(peer_lists={})
+        failed: list[str] = []
+        for term, reply in zip(query.terms, replies):
+            if reply is None:
+                # Directory unreachable for this term: route with what
+                # we have rather than failing the query.
+                reply = PeerList(term=term, peer_table=self.host.directory.peer_table)
+                failed.append(term)
+            scoped.peer_lists[term] = reply
+        scoped.failed_terms = tuple(failed)
+        return scoped
+
+    def answer(
+        self, requests: Sequence[DirectoryRequest], node_id: int | None = None
+    ) -> list[tuple[Any, int]]:
+        """Each request's reply and its wire bits, read from directory state.
+
+        Called by the networked driver's RPC handler for every request
+        and in-process for all but PeerList fetches, which
+        :meth:`~repro.minerva.directory.Directory.peer_list` reads with
+        the same :meth:`~repro.minerva.directory.Directory.list_at`.
+        ``node_id`` is the ring node a PeerList fetch reached.
+        """
+        replies: list[tuple[Any, int]] = []
+        for request in requests:
+            assert isinstance(request, PeerListFetch) and node_id is not None
+            stored = self.host.directory.list_at(node_id, request.term)
+            replies.append((stored, stored.size_in_bits))
+        return replies
+
+    def server_of(self, request: DirectoryRequest, requester: str) -> str:
+        """The peer a request without a DHT key is sent to."""
+        raise NotImplementedError(f"{type(self).__name__} sends no {request.kind}")
+
     def assemble(
         self,
         query: Query,
@@ -179,13 +284,42 @@ class RoutingTopology(ABC):
         peer_list_limit: int | None = None,
         peer_list_batch_size: int = 8,
     ) -> ScopedLists:
-        """Fetch the PeerLists this query routes over, charging cost.
+        """In-process driver: run :meth:`assembly` on the host's directory.
 
-        ``initiator`` seeds hierarchical cluster ranking (the reference
-        synopsis starts from the initiator's local result); flat
-        assembly ignores it.  ``max_peers`` lets hierarchical topologies
-        derive their cluster budget from the query's peer budget.
+        A PeerList fetch is a routed lookup from ``requester``'s ring
+        node (:meth:`~repro.minerva.directory.Directory.peer_list`
+        charges its hops and payload); any other request is read with
+        :meth:`answer` and charged its bits.  Nothing fails in-process.
+        ``peer_list_limit`` is a :class:`~repro.topology.flat.FlatTopology`
+        option.
         """
+        del peer_list_batch_size
+        if peer_list_limit is not None:
+            raise ValueError(
+                "peer_list_limit is a flat-directory optimization; "
+                f"{type(self).__name__} does not take it"
+            )
+        directory = self.host.directory
+        steps = self.assembly(
+            query, initiator=initiator, conjunctive=conjunctive, max_peers=max_peers
+        )
+        requests = next(steps)
+        while True:
+            answers = iter(
+                self.answer([r for r in requests if not isinstance(r, PeerListFetch)])
+            )
+            replies: list[Any] = []
+            for request in requests:
+                if isinstance(request, PeerListFetch):
+                    reply = directory.peer_list(request.term, requester=requester)
+                else:
+                    reply, bits = next(answers)
+                    directory.cost.record(request.kind, bits=bits)
+                replies.append(reply)
+            try:
+                requests = steps.send(replies)
+            except StopIteration as done:
+                return done.value
 
     def context_for(
         self,
@@ -263,10 +397,17 @@ class RoutingTopology(ABC):
     # -- churn hooks -----------------------------------------------------
 
     def handle_peer_down(self, peer_id: str) -> ReElection | None:
-        """A peer crashed or left; hierarchical topologies re-elect."""
+        """A peer crashed or left; the super-peer tier re-elects."""
         del peer_id
         return None
 
     def handle_peer_up(self, peer_id: str) -> None:
         """A crashed peer recovered and re-published its posts."""
         del peer_id
+
+    # -- simnet latency --------------------------------------------------
+
+    def latency_profile_of(self, src: str, dst: str) -> "LatencyProfile | None":
+        """The ``src`` -> ``dst`` link's latency profile (None = transport base)."""
+        del src, dst
+        return None

@@ -38,16 +38,23 @@ caches can invalidate exactly the affected cluster.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from ..datasets.queries import Query
 from ..minerva.posts import PeerList, Post
-from ..net.cost import MessageKinds
 from ..routing.base import LocalView, PeerSelector, RoutingContext, SeedSynopses
 from ..synopses.columnstore import PeerIdTable, TermColumns
-from .base import ReElection, RoutingTopology, ScopedLists
+from .base import (
+    Assembly,
+    ClusterFetch,
+    DirectoryRequest,
+    MemberFetch,
+    ReElection,
+    RoutingTopology,
+    ScopedLists,
+)
 from .clustering import (
     Cluster,
     cluster_peers,
@@ -91,8 +98,6 @@ class SuperPeerTopology(RoutingTopology):
         intra- vs inter-cluster links (``None`` keeps the transport's
         base profile for that class of link).
     """
-
-    hierarchical = True
 
     def __init__(
         self,
@@ -420,7 +425,7 @@ class SuperPeerTopology(RoutingTopology):
         self.ensure_clusters()
         lists: dict[str, PeerList] = {}
         bits = 0
-        for term in dict.fromkeys(terms):
+        for term in terms:
             peer_list = self._cluster_lists.get(term)
             if peer_list is None:
                 peer_list = PeerList(term=term, peer_table=self._cluster_table)
@@ -431,6 +436,7 @@ class SuperPeerTopology(RoutingTopology):
     def rank_clusters(
         self,
         query: Query,
+        cluster_lists: dict[str, PeerList],
         *,
         initiator: LocalView | None = None,
         conjunctive: bool = False,
@@ -438,17 +444,16 @@ class SuperPeerTopology(RoutingTopology):
         seed_synopses: SeedSynopses | None = None,
         spec: SynopsisSpec | None = None,
     ) -> list[str]:
-        """Phase one: IQN over the merged cluster synopses.
+        """Phase one: IQN over the fetched merged cluster synopses.
 
         ``seed_synopses`` collects the seed synopses this phase builds,
-        so phase two can reuse them (see :meth:`assemble`).  ``spec``
+        so phase two can reuse them (see :meth:`assembly`).  ``spec``
         overrides the host's synopsis spec for those builds; phase two
         must use the same spec to find them.
         """
         clusters = self.ensure_clusters()
         if not clusters:
             return []
-        cluster_lists, _ = self.cluster_peer_lists(query.terms)
         context = RoutingContext(
             query=query,
             peer_lists=cluster_lists,
@@ -475,20 +480,18 @@ class SuperPeerTopology(RoutingTopology):
         (:meth:`PeerList.from_rows`): what the super-peer ships is a
         column slice, never re-packed Posts.  The bits are the slices'
         ``size_in_bits``, the same integers as the per-post wire sizes.
-        ``stored`` supplies the terms' stored lists when the caller has
-        already looked them up (``assemble`` does, once per query).
+        ``stored`` caches each term's stored list (``None`` = nobody
+        posted) across calls: :meth:`answer` shares one per batch, so a
+        query looks each term up once.
         """
         self.ensure_clusters()
         directory = self.host.directory
         table = directory.peer_table
-        unique_terms = tuple(dict.fromkeys(terms))
         index = self._cluster_index.get(label)
         if index is None:
-            return {
-                term: PeerList(term=term, peer_table=table) for term in unique_terms
-            }, 0
+            return {term: PeerList(term=term, peer_table=table) for term in terms}, 0
         if stored is None:
-            stored = self._stored_lists(unique_terms)
+            stored = {}
         if len(self._live_cluster) < len(table):
             # Peers interned after the build belong to no cluster.
             padding = np.full(
@@ -497,7 +500,9 @@ class SuperPeerTopology(RoutingTopology):
             self._live_cluster = np.concatenate([self._live_cluster, padding])
         out: dict[str, PeerList] = {}
         bits = 0
-        for term in unique_terms:
+        for term in terms:
+            if term not in stored:
+                stored[term] = directory.stored_list(term)
             source = stored[term]
             if source is None:
                 out[term] = PeerList(term=term, peer_table=table)
@@ -510,81 +515,89 @@ class SuperPeerTopology(RoutingTopology):
             bits += scoped.size_in_bits
         return out, bits
 
-    def _stored_lists(
-        self, terms: tuple[str, ...]
-    ) -> dict[str, PeerList | None]:
-        """Each term's stored directory list (``None`` = nobody posted)."""
-        directory = self.host.directory
-        return {term: directory.stored_list(term) for term in dict.fromkeys(terms)}
-
-    def merge_member_lists(
-        self, terms: tuple[str, ...], replies: list[dict[str, PeerList]]
-    ) -> dict[str, PeerList]:
-        """Concatenate the winners' member slices into the scoped lists.
-
-        Winner order, then member order within each winner — one column
-        gather per term.
-        """
-        table = self.host.directory.peer_table
-        return {
-            term: PeerList.from_rows(
-                term,
-                table,
-                [
-                    (lists[term], np.arange(len(lists[term]), dtype=np.int64))
-                    for lists in replies
-                ],
-            )
-            for term in dict.fromkeys(terms)
-        }
-
-    def assemble(
+    def assembly(
         self,
         query: Query,
         *,
-        requester: str | None = None,
         initiator: LocalView | None = None,
         conjunctive: bool = False,
         max_peers: int | None = None,
-        peer_list_limit: int | None = None,
-        peer_list_batch_size: int = 8,
-    ) -> ScopedLists:
-        del requester, peer_list_batch_size
-        if peer_list_limit is not None:
-            raise ValueError(
-                "peer_list_limit is a flat-directory optimization; "
-                "SuperPeerTopology already scopes lists via cluster routing"
-            )
-        directory = self.host.directory
-        budget = self.resolve_cluster_budget(max_peers)
+        spec: SynopsisSpec | None = None,
+    ) -> Assembly:
+        """Cluster fetch, rank clusters, member fetches, merge.
+
+        An unreachable super-peer degrades to the full flat fetch, and
+        a winning cluster whose member fetch failed is skipped; each
+        counts as a topology fallback.
+        """
+        terms = query.terms
+        (cluster_lists,) = yield [ClusterFetch(terms)]
+        if cluster_lists is None:
+            scoped = yield from super().assembly(query)
+            scoped.topology_fallbacks = 1
+            return scoped
         # Both phases seed their references from the same initiator:
         # build each seed synopsis once for the query.
         seed_synopses: SeedSynopses = {}
         winners = self.rank_clusters(
             query,
+            cluster_lists,
             initiator=initiator,
             conjunctive=conjunctive,
-            budget=budget,
+            budget=self.resolve_cluster_budget(max_peers),
             seed_synopses=seed_synopses,
+            spec=spec,
         )
-        _, cluster_bits = self.cluster_peer_lists(query.terms)
-        directory.cost.record(MessageKinds.CLUSTER_FETCH, bits=cluster_bits)
-        unique_terms = tuple(dict.fromkeys(query.terms))
-        stored = self._stored_lists(unique_terms)
-        replies: list[dict[str, PeerList]] = []
-        for label in winners:
-            lists, member_bits = self.member_posts(
-                label, unique_terms, stored=stored
+        replies = yield [MemberFetch(label, terms) for label in winners]
+        answered = [
+            (label, reply) for label, reply in zip(winners, replies) if reply is not None
+        ]
+        table = self.host.directory.peer_table
+        # Winner order, then member order: one column gather per term.
+        merged = {
+            term: PeerList.from_rows(
+                term,
+                table,
+                [
+                    (lists[term], np.arange(len(lists[term]), dtype=np.int64))
+                    for _, lists in answered
+                ],
             )
-            directory.cost.record(MessageKinds.MEMBER_FETCH, bits=member_bits)
-            replies.append(lists)
+            for term in terms
+        }
         return ScopedLists(
-            peer_lists=self.merge_member_lists(unique_terms, replies),
-            scope_size=sum(len(self.live_members(label)) for label in winners),
+            peer_lists=merged,
+            scope_size=sum(len(self.live_members(label)) for label, _ in answered),
             clusters_ranked=tuple(winners),
-            super_fetches=1 + len(winners),
+            super_fetches=1 + len(answered),
             seed_synopses=seed_synopses,
+            topology_fallbacks=len(winners) - len(answered),
         )
+
+    def answer(
+        self, requests: Sequence[DirectoryRequest], node_id: int | None = None
+    ) -> list[tuple[Any, int]]:
+        """Cluster directories and member slices as well; a batch's member
+        fetches share one lookup of each term's stored list."""
+        stored: dict[str, PeerList | None] = {}
+        replies: list[tuple[Any, int]] = []
+        for request in requests:
+            if isinstance(request, ClusterFetch):
+                replies.append(self.cluster_peer_lists(request.terms))
+            elif isinstance(request, MemberFetch):
+                replies.append(
+                    self.member_posts(request.label, request.terms, stored=stored)
+                )
+            else:
+                replies += super().answer([request], node_id)
+        return replies
+
+    def server_of(self, request: DirectoryRequest, requester: str) -> str:
+        """A member fetch goes to its cluster's super-peer, a cluster
+        fetch to the requester's own (or the requester, if unclustered)."""
+        if isinstance(request, MemberFetch):
+            return self.super_of_cluster(request.label)
+        return self.super_peer_of(requester) or requester
 
     # -- churn -----------------------------------------------------------
 

@@ -212,7 +212,7 @@ class TestNoUnseededRandomness:
 
 
 class TestNoWallClockInSimnet:
-    """RPRL003 — scope repro/simnet."""
+    """RPRL003 — scope repro/simnet, repro/churn, repro/serving, repro/topology."""
 
     def test_time_call_fires(self):
         source = """
@@ -265,6 +265,46 @@ class TestNoWallClockInSimnet:
             started = time.time()
             """
         assert lint(source, "src/repro/experiments/harness.py", only="RPRL003") == []
+
+    def test_churn_wall_clock_read_fires(self):
+        source = """
+            import time
+
+            def repost_tick():
+                return time.monotonic()
+            """
+        findings = lint(source, "src/repro/churn/membership.py", only="RPRL003")
+        assert ids(findings) == ["RPRL003"]
+        assert "time.monotonic" in findings[0].message
+        assert "SimClock" in findings[0].message
+
+    def test_churn_from_import_is_flagged(self):
+        source = """
+            from time import sleep
+            """
+        findings = lint(source, "src/repro/churn/membership.py", only="RPRL003")
+        assert ids(findings) == ["RPRL003"]
+        assert "from time import sleep" in findings[0].message
+
+    def test_churn_datetime_now_fires(self):
+        source = """
+            import datetime
+
+            def stamp():
+                return datetime.datetime.now()
+            """
+        assert ids(
+            lint(source, "src/repro/churn/membership.py", only="RPRL003")
+        ) == ["RPRL003"]
+
+    def test_serving_and_topology_are_in_scope(self):
+        source = """
+            import time
+
+            started = time.perf_counter()
+            """
+        for path in ("src/repro/serving/frontend.py", "src/repro/topology/base.py"):
+            assert ids(lint(source, path, only="RPRL003")) == ["RPRL003"]
 
 
 class TestNoFloatEquality:
@@ -468,36 +508,14 @@ class TestWorkerEntrypointsTakeSeed:
 class TestChurnOnVirtualClock:
     """RPRL007 — scope repro/churn."""
 
-    def test_wall_clock_read_fires(self):
+    def test_wall_clock_is_left_to_rprl003(self):
         source = """
             import time
 
             def repost_tick():
                 return time.monotonic()
             """
-        findings = lint(source, IN_SCOPE["RPRL007"], only="RPRL007")
-        assert ids(findings) == ["RPRL007"]
-        assert "time.monotonic" in findings[0].message
-        assert "SimClock" in findings[0].message
-
-    def test_from_import_flagged_at_import_site(self):
-        source = """
-            from time import sleep
-            """
-        findings = lint(source, IN_SCOPE["RPRL007"], only="RPRL007")
-        assert ids(findings) == ["RPRL007"]
-        assert "from time import sleep" in findings[0].message
-
-    def test_datetime_now_fires(self):
-        source = """
-            import datetime
-
-            def stamp():
-                return datetime.datetime.now()
-            """
-        assert ids(lint(source, IN_SCOPE["RPRL007"], only="RPRL007")) == [
-            "RPRL007"
-        ]
+        assert lint(source, IN_SCOPE["RPRL007"], only="RPRL007") == []
 
     def test_seedless_event_stream_fires(self):
         source = """

@@ -20,6 +20,7 @@ from repro.serving.cache import (
     RoutingPlanCache,
 )
 from repro.simnet.executor import SimNetExecutor
+from repro.simnet.faults import ChurnEvent, FaultPlan
 from repro.synopses.factory import SynopsisSpec
 from repro.topology import SuperPeerTopology
 
@@ -193,8 +194,40 @@ class TestHierarchicalServing:
         future = front.serve(QUERY, initiator_id=INITIATOR)
         front.run()
         assert future.value.queried
-        assert front.executor.engine.topology.hierarchical
+        assert isinstance(front.executor.engine.topology, SuperPeerTopology)
         assert len(builds) == 1
+
+    def test_cold_plan_that_skipped_a_cluster_is_not_cached(self):
+        # The winning cluster's super-peer is down, so its member fetch
+        # times out and the cluster is skipped.  No later re-election
+        # could drop that plan (the skipped members are not in it), so
+        # the front end must not cache it.
+        engine = make_super_engine()
+        topology = engine.topology
+        probe = make_super_engine().run_query(
+            QUERY,
+            IQNRouter(),
+            initiator_id=INITIATOR,
+            max_peers=KNOBS["max_peers"],
+        )
+        (winner,) = probe.clusters_ranked
+        victim = topology.super_of_cluster(winner)
+        assert victim not in (INITIATOR, topology.super_peer_of(INITIATOR))
+        executor = SimNetExecutor(
+            engine,
+            faults=FaultPlan(churn=(ChurnEvent(at_ms=0.0, peer_id=victim),)),
+            seed=3,
+        )
+        front = ServingFrontend(executor, IQNRouter(), **KNOBS)
+        cold = front.serve(QUERY, initiator_id=INITIATOR)
+        front.run()
+        assert not cold.value.plan_hit
+        assert not set(cold.value.queried) & set(topology.members_of(winner))
+
+        again = front.serve(QUERY, initiator_id=INITIATOR)
+        front.run()
+        assert not again.value.plan_hit
+        assert front.plan_stats().size == 0
 
     def test_hot_serve_skips_super_peer_traffic(self):
         front = ServingFrontend(

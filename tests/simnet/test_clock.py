@@ -118,6 +118,19 @@ class TestCoroutines:
         clock.run()
         assert result.value == 10.0
 
+    def test_sleep_pauses_a_coroutine(self):
+        clock = SimClock()
+
+        def flow():
+            yield clock.sleep(5.0)
+            yield clock.sleep(0.0)
+            return clock.now
+
+        result = spawn(flow())
+        assert not result.done
+        clock.run()
+        assert result.value == 5.0
+
     def test_gather_preserves_order(self):
         clock = SimClock()
         futures = [SimFuture() for _ in range(3)]

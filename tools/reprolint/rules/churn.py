@@ -1,19 +1,11 @@
-"""RPRL007 — churn code lives on the virtual clock and explicit seeds.
+"""RPRL007 — churn membership event streams take explicit seeds.
 
 ``repro.churn`` turns the directory into a live service: membership
-events and maintenance timers (reposts, TTL sweeps, stabilization) all
-fire on the simnet ``SimClock``.  Two invariants keep those simulations
-reproducible:
-
-- **no wall clock** — a churn/maintenance module that reads ``time.*``
-  (or blocks on ``time.sleep``) smuggles host-machine state into the
-  event order, exactly the failure mode RPRL003 guards against inside
-  ``repro/simnet``; the same ban applies here, where the timers are
-  *scheduled*;
-- **seeded event streams** — any public callable that generates a
-  membership event stream (``generate*``, ``*_events``, ``*_schedule``)
-  must take an explicit ``seed`` parameter, so the trace is a pure
-  function of its inputs and bit-identical at any worker count.
+events and maintenance timers fire on the simnet ``SimClock`` (RPRL003
+keeps wall-clock reads out of the package).  Any public callable that
+generates a membership event stream (``generate*``, ``*_events``,
+``*_schedule``) must take an explicit ``seed`` parameter, so the trace
+is a pure function of its inputs and bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -23,10 +15,8 @@ from typing import Iterator
 
 from ..engine import Finding
 from ..registry import Rule, register_rule
-from ._imports import ImportMap
-from .wallclock import _DATETIME_FUNCTIONS, _TIME_FUNCTIONS
 
-__all__ = ["ChurnOnVirtualClock"]
+__all__ = ["ChurnEventStreamsTakeSeed"]
 
 #: Name shapes of public callables that produce membership event streams.
 _EVENT_STREAM_SUFFIXES = ("_events", "_schedule")
@@ -48,73 +38,16 @@ def _has_seed_parameter(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
 
 
 @register_rule
-class ChurnOnVirtualClock(Rule):
+class ChurnEventStreamsTakeSeed(Rule):
     rule_id = "RPRL007"
-    name = "churn-on-virtual-clock"
+    name = "churn-event-streams-take-seed"
     rationale = (
-        "churn/maintenance timers must be scheduled on the simnet SimClock "
-        "(no wall-clock reads) and membership event streams must take an "
-        "explicit seed, or churn traces stop being reproducible."
+        "membership event streams must take an explicit seed, or churn "
+        "traces stop being reproducible."
     )
     scope_fragments = ("repro/churn",)
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        yield from self._check_wall_clock(tree, path)
-        yield from self._check_event_streams(tree, path)
-
-    # -- wall clock (same semantics as RPRL003, scoped to repro/churn) -----
-
-    def _check_wall_clock(
-        self, tree: ast.Module, path: str
-    ) -> Iterator[Finding]:
-        imports = ImportMap.from_tree(tree)
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and not node.level
-                and node.module == "time"
-            ):
-                for alias in node.names:
-                    if alias.name in _TIME_FUNCTIONS:
-                        yield self._finding(
-                            node,
-                            path,
-                            f"'from time import {alias.name}' imports a "
-                            "wall-clock function; churn timers must be "
-                            "scheduled on the simnet SimClock",
-                        )
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            canonical = imports.resolve(node)
-            if canonical is None:
-                continue
-            if canonical in _DATETIME_FUNCTIONS:
-                yield self._finding(
-                    node,
-                    path,
-                    f"'{canonical}' reads the host clock; churn timers must "
-                    "be scheduled on the simnet SimClock",
-                )
-                continue
-            parts = canonical.split(".")
-            if (
-                parts[0] == "time"
-                and len(parts) == 2
-                and parts[1] in _TIME_FUNCTIONS
-            ):
-                yield self._finding(
-                    node,
-                    path,
-                    f"'{canonical}' reads (or blocks on) the host clock; "
-                    "churn timers must be scheduled on the simnet SimClock",
-                )
-
-    # -- seeded event streams ----------------------------------------------
-
-    def _check_event_streams(
-        self, tree: ast.Module, path: str
-    ) -> Iterator[Finding]:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

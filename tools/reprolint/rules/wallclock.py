@@ -1,10 +1,14 @@
-"""RPRL003 — no wall-clock time inside ``repro/simnet``.
+"""RPRL003 — no wall-clock time in code that runs on the ``SimClock``.
 
 The simulator is discrete-event: every timestamp must flow through
 ``SimClock`` so that a run's event order is a pure function of its
 inputs.  One ``time.time()`` (or a blocking ``time.sleep``) smuggles
 host-machine state into virtual time and destroys both reproducibility
-and the ability to run simulated hours in milliseconds.
+and the ability to run simulated hours in milliseconds.  That holds for
+everything the clock drives: the simulator itself (``repro/simnet``),
+churn and maintenance timers (``repro/churn``), the serving front end
+(``repro/serving``) and topology assembly, which runs inside the
+networked driver (``repro/topology``).
 
 The rule flags *references* (not just calls) to wall-clock functions —
 passing ``time.monotonic`` as a callback is as much a violation as
@@ -21,7 +25,7 @@ from ..engine import Finding
 from ..registry import Rule, register_rule
 from ._imports import ImportMap
 
-__all__ = ["NoWallClockInSimnet"]
+__all__ = ["NoWallClockInSimulation"]
 
 #: time-module members that read the host clock or block on it.
 _TIME_FUNCTIONS = frozenset(
@@ -50,14 +54,19 @@ _DATETIME_FUNCTIONS = frozenset(
 
 
 @register_rule
-class NoWallClockInSimnet(Rule):
+class NoWallClockInSimulation(Rule):
     rule_id = "RPRL003"
-    name = "no-wall-clock-in-simnet"
+    name = "no-wall-clock-in-simulation"
     rationale = (
-        "simnet is discrete-event: virtual time must flow through SimClock; "
-        "host-clock reads make simulated runs irreproducible."
+        "the simulation is discrete-event: virtual time must flow through "
+        "SimClock; host-clock reads make simulated runs irreproducible."
     )
-    scope_fragments = ("repro/simnet",)
+    scope_fragments = (
+        "repro/simnet",
+        "repro/churn",
+        "repro/serving",
+        "repro/topology",
+    )
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         imports = ImportMap.from_tree(tree)
@@ -90,8 +99,8 @@ class NoWallClockInSimnet(Rule):
                 yield self._finding(
                     node,
                     path,
-                    f"'{canonical}' reads the host clock; simnet time must "
-                    "come from SimClock",
+                    f"'{canonical}' reads the host clock; simulated time "
+                    "must come from SimClock",
                 )
                 continue
             parts = canonical.split(".")
@@ -100,7 +109,7 @@ class NoWallClockInSimnet(Rule):
                     node,
                     path,
                     f"'{canonical}' reads (or blocks on) the host clock; "
-                    "simnet time must come from SimClock",
+                    "simulated time must come from SimClock",
                 )
 
     def _finding(self, node: ast.AST, path: str, message: str) -> Finding:
