@@ -48,14 +48,9 @@ K, PEER_K = 30, 10
 
 
 def run_sweep(workers: int):
-    """The whole grid at a given worker count (fresh testbed + runner).
-
-    Returns ``(points, map_mode)`` — the runner's ``last_map_mode`` rides
-    along so the perf record says how the grid actually executed.
-    """
+    """The whole grid at a given worker count (fresh testbed + runner)."""
     testbed = build_combination_testbed(CONFIG, **TESTBED_PARAMS)
-    runner = ExperimentRunner(workers=workers)
-    points = churn_sweep(
+    return churn_sweep(
         testbed.engines["mips-64"],
         testbed.queries,
         IQNRouter,
@@ -67,16 +62,15 @@ def run_sweep(workers: int):
         max_peers=5,
         k=K,
         peer_k=PEER_K,
-        runner=runner,
+        runner=ExperimentRunner(workers=workers),
     )
-    return points, runner.last_map_mode
 
 
 @pytest.fixture(scope="module")
 def sweep_data():
-    serial, serial_mode = run_sweep(1)
+    serial = run_sweep(1)
     serial_timing = measure(lambda: run_sweep(1), warmup=0, repeats=1)
-    pooled, pooled_mode = run_sweep(2)
+    pooled = run_sweep(2)
     pooled_timing = measure(lambda: run_sweep(2), warmup=0, repeats=1)
     serial_digest = hashlib.sha256(pickle.dumps(serial)).hexdigest()
     pooled_digest = hashlib.sha256(pickle.dumps(pooled)).hexdigest()
@@ -89,8 +83,6 @@ def sweep_data():
         },
         "serial": serial_timing.as_dict(),
         "pooled_2_workers": pooled_timing.as_dict(),
-        "serial_map_mode": serial_mode,
-        "pooled_map_mode": pooled_mode,
         "serial_digest": serial_digest,
         "pooled_digest": pooled_digest,
         "identical_serial_vs_pooled": serial_digest == pooled_digest,

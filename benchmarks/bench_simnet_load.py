@@ -180,7 +180,6 @@ def test_pooled_sweep_matches_serial_and_records_throughput(
             "serial_cells_per_sec": num_cells / serial_timing.median_s,
             "pooled_cells_per_sec": num_cells / pooled_timing.median_s,
             "identical_to_serial": pooled_points == serial_points,
-            "last_map_mode": runner.last_map_mode,
             "cell_mean_latency_summary_ms": latency_summary(
                 point.mean_latency_ms for point in pooled_points
             ),

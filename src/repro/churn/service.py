@@ -358,7 +358,7 @@ class ChurnService:
 
     # -- workloads ---------------------------------------------------------
 
-    def _pick_initiator(self, query: Query) -> str:
+    def pick_initiator(self, query: Query) -> str:
         """A deterministic live initiator (all peers if none are up)."""
         candidates = self.live_peers() or sorted(self.engine.peers)
         return candidates[query.query_id % len(candidates)]
@@ -407,7 +407,7 @@ class ChurnService:
                     self.executor.submit(
                         q,
                         selector,
-                        initiator_id=self._pick_initiator(q),
+                        initiator_id=self.pick_initiator(q),
                         max_peers=max_peers,
                         k=k,
                         peer_k=peer_k,

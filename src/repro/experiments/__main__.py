@@ -20,8 +20,9 @@ Usage::
 worker processes; results are bit-identical at any worker count.
 ``--cache-dir DIR`` persists built setups (corpus + indexes + synopses
 + directory) content-addressed under DIR, so regenerating a figure —
-or a different figure over the same testbed — skips the rebuild;
-``--no-cache`` disables reuse without disabling pooling.
+or a different figure over the same testbed — skips the rebuild.
+Without it nothing is written on a serial run; a pooled run hands its
+setup to the workers through one temporary pickle.
 """
 
 from __future__ import annotations
@@ -423,28 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         help="persist built setups content-addressed under this directory "
         "and reuse them across runs",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="never reuse cached setups (pooling still works)",
-    )
-    parser.add_argument(
-        "--adaptive-serial",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with --workers > 1, probe the first task in-process and "
-        "keep the whole grid serial when it projects to finish under "
-        "this many seconds (pool startup would dominate); results are "
-        "identical either way",
-    )
     args = parser.parse_args(argv)
-    runner = ExperimentRunner(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=args.cache_dir is not None and not args.no_cache,
-        adaptive_serial_s=args.adaptive_serial,
-    )
+    runner = ExperimentRunner(workers=args.workers, cache_dir=args.cache_dir)
     print(run_target(args.target, quick=args.quick, runs=args.runs, runner=runner))
     return 0
 

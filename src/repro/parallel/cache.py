@@ -17,9 +17,10 @@ distinct setup a build-once artifact:
   :data:`SETUP_SCHEMA_VERSION` (mixed into every fingerprint).  Nothing
   is mutated in place, so stale entries are merely unreferenced files.
 
-A disabled cache (``enabled=False``) still *writes* artifacts — pooled
-workers attach to setups by unpickling the artifact path — it just never
-reuses one across calls.
+Without a cache directory ``get_or_build`` pickles nothing: setups are
+memoized in process only and carry no artifact path.  A pooled map
+hands such a setup to its workers through ``spill``, which writes into
+an ephemeral temp directory.
 """
 
 from __future__ import annotations
@@ -97,55 +98,57 @@ class SetupCache:
     #: only the first cell should pay the unpickle).
     MEMO_SIZE = 4
 
-    def __init__(
-        self, cache_dir: str | Path | None = None, *, enabled: bool = True
-    ):
-        self._explicit_dir = None if cache_dir is None else Path(cache_dir)
+    def __init__(self, cache_dir: str | Path | None = None):
+        #: Where ``get_or_build`` persists setups; ``None`` persists none.
+        self.persist_dir = None if cache_dir is None else Path(cache_dir)
         self._temp_dir: tempfile.TemporaryDirectory[str] | None = None
-        self.enabled = enabled
         self.stats = CacheStats()
         self._memo: OrderedDict[str, Any] = OrderedDict()
 
     @property
     def cache_dir(self) -> Path:
         """The artifact directory (an ephemeral temp dir if none given)."""
-        if self._explicit_dir is not None:
-            self._explicit_dir.mkdir(parents=True, exist_ok=True)
-            return self._explicit_dir
+        if self.persist_dir is not None:
+            self.persist_dir.mkdir(parents=True, exist_ok=True)
+            return self.persist_dir
         if self._temp_dir is None:
             self._temp_dir = tempfile.TemporaryDirectory(
                 prefix="repro-setup-cache-"
             )
         return Path(self._temp_dir.name)
 
-    def path_for(self, kind: str, digest: str) -> Path:
+    @staticmethod
+    def _artifact_name(kind: str, digest: str) -> str:
         if not kind or any(ch in kind for ch in "/\\"):
             raise ValueError(f"invalid setup kind {kind!r}")
-        return self.cache_dir / f"{kind}-{digest}.pkl"
+        return f"{kind}-{digest}.pkl"
+
+    def path_for(self, kind: str, digest: str) -> Path:
+        return self.cache_dir / self._artifact_name(kind, digest)
 
     def get_or_build(
         self,
         kind: str,
         parts: Mapping[str, Any],
         builder: Callable[[], Any],
-    ) -> tuple[Any, Path]:
+    ) -> tuple[Any, Path | None]:
         """Return ``(setup, artifact_path)``, building at most once.
 
         A hit returns the in-process memoized object (grid cells share
         setups; only the first pays the unpickle) or unpickles the
         existing artifact; a miss (including an unreadable/corrupt
-        artifact, which is silently rebuilt) calls ``builder`` and
-        persists its result atomically.  Cached setups are shared —
-        treat them as immutable.
+        artifact, which is silently rebuilt) calls ``builder`` and, when
+        a cache directory was given, persists its result atomically.
+        Without one the artifact path is ``None`` and nothing is written.
+        Cached setups are shared — treat them as immutable.
         """
-        digest = fingerprint_parts(parts)
-        path = self.path_for(kind, digest)
-        memo_key = str(path)
-        if self.enabled and memo_key in self._memo:
-            self._memo.move_to_end(memo_key)
+        name = self._artifact_name(kind, fingerprint_parts(parts))
+        path = None if self.persist_dir is None else self.cache_dir / name
+        if name in self._memo:
+            self._memo.move_to_end(name)
             self.stats.hits += 1
-            return self._memo[memo_key], path
-        if self.enabled and path.exists():
+            return self._memo[name], path
+        if path is not None and path.exists():
             try:
                 with open(path, "rb") as handle:
                     value = pickle.load(handle)
@@ -153,13 +156,15 @@ class SetupCache:
                 pass  # corrupt artifact: fall through to a rebuild
             else:
                 self.stats.hits += 1
-                self._memoize(memo_key, value)
+                self._memoize(name, value)
                 return value, path
         value = builder()
-        self._write_atomic(path, value)
         self.stats.misses += 1
-        if self.enabled:
-            self._memoize(memo_key, value)
+        if path is not None:
+            self._write_atomic(
+                path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+        self._memoize(name, value)
         return value, path
 
     def _memoize(self, memo_key: str, value: Any) -> None:
@@ -178,15 +183,10 @@ class SetupCache:
         digest = hashlib.sha256(data).hexdigest()[:16]
         path = self.path_for(kind, digest)
         if not path.exists():
-            self._write_bytes_atomic(path, data)
+            self._write_atomic(path, data)
         return path
 
-    def _write_atomic(self, path: Path, value: Any) -> None:
-        self._write_bytes_atomic(
-            path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def _write_bytes_atomic(self, path: Path, data: bytes) -> None:
+    def _write_atomic(self, path: Path, data: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, temp_name = tempfile.mkstemp(
             dir=path.parent, prefix=path.name, suffix=".tmp"

@@ -134,28 +134,14 @@ class TaskPool:
     # -- execution ---------------------------------------------------------
 
     def map(
-        self,
-        fn: Callable[[Any, int], Any],
-        tasks: Sequence[Any],
-        *,
-        start_index: int = 0,
+        self, fn: Callable[[Any, int], Any], tasks: Sequence[Any]
     ) -> list[Any]:
-        """Run ``fn(task, seed)`` for every task; results in task order.
-
-        ``start_index`` offsets the per-task seed derivation: task ``i``
-        of this call derives its seed as position ``start_index + i`` of
-        the logical grid.  A caller splitting one grid across several
-        ``map`` calls (e.g. the runner's adaptive probe) passes each
-        slice's global offset so every task keeps the seed it would get
-        in a single call.
-        """
+        """Run ``fn(task, seed)`` for every task; results in task order."""
         tasks = list(tasks)
         if not tasks:
             return []
-        if start_index < 0:
-            raise ValueError(f"start_index must be >= 0, got {start_index}")
         packed = [
-            (index, fn, task, derive_seed(self.root_seed, start_index + index))
+            (index, fn, task, derive_seed(self.root_seed, index))
             for index, task in enumerate(tasks)
         ]
         if self.workers <= 1:

@@ -23,9 +23,7 @@ wall-clock knob.
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
-import time
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -33,8 +31,6 @@ from .cache import SetupCache
 from .pool import TaskPool
 
 __all__ = ["ExperimentRunner", "SetupHandle"]
-
-logger = logging.getLogger("repro.parallel")
 
 
 class SetupHandle(NamedTuple):
@@ -52,32 +48,17 @@ class ExperimentRunner:
         *,
         workers: int = 1,
         cache_dir: str | Path | None = None,
-        use_cache: bool = True,
         root_seed: int = 0,
         task_timeout_s: float | None = None,
         mp_context: multiprocessing.context.BaseContext | None = None,
-        adaptive_serial_s: float | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if adaptive_serial_s is not None and adaptive_serial_s <= 0:
-            raise ValueError(
-                f"adaptive_serial_s must be positive, got {adaptive_serial_s}"
-            )
         self.workers = workers
         self.root_seed = root_seed
         self.task_timeout_s = task_timeout_s
-        #: With ``adaptive_serial_s`` set and ``workers > 1``, ``map``
-        #: probes the first task in-process; if the whole grid projects
-        #: to finish under the threshold, the remaining tasks stay
-        #: in-process too (pool startup would dominate).  Results are
-        #: identical either way — seeds derive from grid position.
-        self.adaptive_serial_s = adaptive_serial_s
-        #: Execution mode of the most recent ``map`` call: "serial",
-        #: "pooled", or "adaptive-serial" (probe kept the grid in-process).
-        self.last_map_mode: str | None = None
         self._mp_context = mp_context
-        self.cache = SetupCache(cache_dir, enabled=use_cache)
+        self.cache = SetupCache(cache_dir)
 
     # -- setups ------------------------------------------------------------
 
@@ -116,76 +97,25 @@ class ExperimentRunner:
         callers that serialize whole aggregates should intern such
         references first (see ``measure_load``).
 
-        With ``adaptive_serial_s`` configured and ``workers > 1``, the
-        first task runs in-process as a cost probe: if the measured
-        per-task time projects the whole grid under the threshold, the
-        remaining tasks run in-process too (process-pool startup would
-        cost more than it saves); otherwise they fan out to the pool
-        with their grid-position seeds intact, so the result bytes are
-        the same in every mode.
+        A pooled map over a setup without an artifact path (no cache
+        directory) spills it once so workers can attach to it.
         """
-        if self.workers <= 1:
-            self.last_map_mode = "serial"
-            return self._pool(1, setup).map(fn, tasks)
-        if self.adaptive_serial_s is None or len(tasks) <= 1:
-            self.last_map_mode = "pooled"
-            return self._pooled_map(fn, tasks, setup, start_index=0)
-        probe_pool = self._pool(1, setup)
-        started = time.perf_counter()
-        head = probe_pool.map(fn, tasks[:1])
-        per_task_s = time.perf_counter() - started
-        projected_s = per_task_s * len(tasks)
-        if projected_s <= self.adaptive_serial_s:
-            self.last_map_mode = "adaptive-serial"
-            logger.info(
-                "adaptive map: %d tasks projected at %.3fs <= %.3fs "
-                "threshold; staying in-process",
-                len(tasks),
-                projected_s,
-                self.adaptive_serial_s,
+        if self.workers > 1 and setup is not None and setup.path is None:
+            setup = SetupHandle(
+                value=setup.value,
+                path=self.cache.spill("adhoc-setup", setup.value),
             )
-            return head + probe_pool.map(fn, tasks[1:], start_index=1)
-        self.last_map_mode = "pooled"
-        logger.info(
-            "adaptive map: %d tasks projected at %.3fs > %.3fs threshold; "
-            "fanning out to %d workers",
-            len(tasks),
-            projected_s,
-            self.adaptive_serial_s,
-            self.workers,
-        )
-        return head + self._pooled_map(fn, tasks[1:], setup, start_index=1)
-
-    def _pool(self, workers: int, setup: SetupHandle | None) -> TaskPool:
         return TaskPool(
-            workers,
+            self.workers,
             root_seed=self.root_seed,
             setup=None if setup is None else setup.value,
             setup_path=None if setup is None else setup.path,
             task_timeout_s=self.task_timeout_s,
             mp_context=self._mp_context,
-        )
-
-    def _pooled_map(
-        self,
-        fn: Callable[[Any, int], Any],
-        tasks: Sequence[Any],
-        setup: SetupHandle | None,
-        *,
-        start_index: int,
-    ) -> list[Any]:
-        if setup is not None and setup.path is None:
-            setup = SetupHandle(
-                value=setup.value,
-                path=self.cache.spill("adhoc-setup", setup.value),
-            )
-        return self._pool(self.workers, setup).map(
-            fn, tasks, start_index=start_index
-        )
+        ).map(fn, tasks)
 
     def __repr__(self) -> str:
         return (
             f"ExperimentRunner(workers={self.workers}, "
-            f"cache_dir={str(self.cache.cache_dir)!r}, "
-            f"use_cache={self.cache.enabled})"
+            f"cache_dir={self.cache.persist_dir!r})"
         )

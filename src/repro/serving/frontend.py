@@ -98,6 +98,9 @@ class ServedQuery:
     peers_skipped: int
     timed_out_peers: tuple[str, ...]
     failed_terms: tuple[str, ...]
+    #: Hierarchical fetches that degraded during the cold assembly
+    #: (always 0 on a plan hit: degraded plans are never cached).
+    topology_fallbacks: int
     cost: CostSnapshot
 
     @property
@@ -112,8 +115,11 @@ class ServedQuery:
 
     @property
     def degraded(self) -> bool:
-        """True when a peer or directory lookup failed to answer."""
-        return bool(self.timed_out_peers or self.failed_terms)
+        """True when a peer, directory lookup or hierarchical fetch
+        failed to answer."""
+        return bool(
+            self.timed_out_peers or self.failed_terms or self.topology_fallbacks
+        )
 
 
 class ServingFrontend:
@@ -315,7 +321,7 @@ class ServingFrontend:
 
                 def submit(q: Query = query) -> None:
                     futures.append(
-                        self.serve(q, initiator_id=service._pick_initiator(q))
+                        self.serve(q, initiator_id=service.pick_initiator(q))
                     )
 
                 clock.schedule_at(at_ms, submit)
@@ -340,9 +346,15 @@ class ServingFrontend:
     def _plan_cold(
         self, query: Query, initiator_id: str, key: PlanKey, cost: CostModel
     ) -> Generator[
-        SimFuture, Any, tuple[CachedPlan, tuple[ScoredDocument, ...], tuple[str, ...]]
+        SimFuture,
+        Any,
+        tuple[CachedPlan, tuple[ScoredDocument, ...], tuple[str, ...], int],
     ]:
-        """The pipeline up to the plan (seed, assemble, context, plan)."""
+        """The pipeline up to the plan (seed, assemble, context, plan).
+
+        Returns the plan, the initiator's local answer, and the
+        assembly's failed terms and topology fallbacks.
+        """
         executor = self.executor
         engine = executor.engine
         local, view = engine.initiator_seed(
@@ -401,7 +413,7 @@ class ServingFrontend:
             self.plan_cache.store(key, plan)
         if executor.routing_ms:
             yield executor.clock.sleep(executor.routing_ms)
-        return plan, local, failed_terms
+        return plan, local, failed_terms, scoped.topology_fallbacks
 
     def _serve_job(
         self, query: Query, initiator_id: str
@@ -419,10 +431,14 @@ class ServingFrontend:
         )
         cached = self.plan_cache.lookup(key)
         failed_terms: tuple[str, ...] = ()
+        topology_fallbacks = 0
         if cached is None:
-            plan, local, failed_terms = yield from self._plan_cold(
-                query, initiator_id, key, cost
-            )
+            (
+                plan,
+                local,
+                failed_terms,
+                topology_fallbacks,
+            ) = yield from self._plan_cold(query, initiator_id, key, cost)
         else:
             plan = cached
             hit_local = self._peer_answer(
@@ -527,6 +543,7 @@ class ServingFrontend:
             peers_skipped=peers_skipped,
             timed_out_peers=tuple(timed_out),
             failed_terms=failed_terms,
+            topology_fallbacks=topology_fallbacks,
             cost=cost.snapshot(),
         )
 

@@ -139,8 +139,11 @@ class NetworkedQueryOutcome:
 
     @property
     def degraded(self) -> bool:
-        """True when any peer or directory lookup failed to answer in time."""
-        return bool(self.timed_out_peers or self.failed_terms)
+        """True when any peer, directory lookup or hierarchical fetch
+        failed to answer in time."""
+        return bool(
+            self.timed_out_peers or self.failed_terms or self.topology_fallbacks
+        )
 
     @property
     def fallback_successes(self) -> int:

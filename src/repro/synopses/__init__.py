@@ -37,7 +37,6 @@ from .measures import (
     resemblance_from_containment,
 )
 from .mips import BITS_PER_POSITION, MIPS_MODULUS, MinWisePermutations
-from .wire import WireFormatError, dumps, loads
 
 __all__ = [
     "SetSynopsis",
@@ -70,7 +69,4 @@ __all__ = [
     "containment_from_resemblance",
     "novelty_from_resemblance",
     "novelty_from_union",
-    "dumps",
-    "loads",
-    "WireFormatError",
 ]

@@ -84,44 +84,6 @@ class SynopsisSpec:
         return cls(kind=aliases[prefix], parameter=int(number), seed=seed)
 
     @classmethod
-    def of(cls, synopsis: SetSynopsis) -> "SynopsisSpec":
-        """Recover the configuration a concrete synopsis was built with.
-
-        Every family's parameters are readable from the instance, so a
-        deserialized synopsis can be matched back to a spec (used by the
-        histogram wire format and by diagnostics).
-        """
-        if isinstance(synopsis, MinWisePermutations):
-            return cls(
-                kind="mips",
-                parameter=synopsis.num_permutations,
-                seed=synopsis.seed,
-            )
-        if isinstance(synopsis, BloomFilter):
-            return cls(
-                kind="bloom",
-                parameter=synopsis.num_bits,
-                seed=synopsis.seed,
-                num_hashes=synopsis.num_hashes,
-            )
-        if isinstance(synopsis, HashSketch):
-            return cls(
-                kind="hash-sketch",
-                parameter=synopsis.num_bitmaps,
-                seed=synopsis.seed,
-                bitmap_length=synopsis.bitmap_length,
-            )
-        if isinstance(synopsis, LogLogCounter):
-            return cls(
-                kind="loglog",
-                parameter=synopsis.num_buckets,
-                seed=synopsis.seed,
-            )
-        raise ValueError(
-            f"cannot derive a spec from {type(synopsis).__name__}"
-        )
-
-    @classmethod
     def for_budget(cls, kind: str, budget_bits: int, *, seed: int = 0) -> "SynopsisSpec":
         """Largest configuration of ``kind`` fitting in ``budget_bits``.
 

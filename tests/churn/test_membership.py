@@ -128,15 +128,10 @@ class TestWorkerCountInvariance:
         serial = ExperimentRunner(workers=1).map(
             schedule_digest_task, self.TASKS
         )
-        pooled = ExperimentRunner(workers=2, use_cache=False).map(
+        pooled = ExperimentRunner(workers=2).map(
             schedule_digest_task, self.TASKS
         )
-        adaptive_runner = ExperimentRunner(
-            workers=2, use_cache=False, adaptive_serial_s=3600.0
-        )
-        adaptive = adaptive_runner.map(schedule_digest_task, self.TASKS)
-        assert serial == pooled == adaptive
-        assert adaptive_runner.last_map_mode == "adaptive-serial"
+        assert serial == pooled
 
     def test_digest_depends_on_task_not_position(self):
         reversed_results = ExperimentRunner(workers=1).map(

@@ -76,5 +76,5 @@ class TestMain:
         assert "msgs/q" in text
 
     def test_workers_flag_parses(self, capsys):
-        assert main(["matrix", "--workers", "2", "--no-cache"]) == 0
+        assert main(["matrix", "--workers", "2"]) == 0
         assert "Bloom filter" in capsys.readouterr().out

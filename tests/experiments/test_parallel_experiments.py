@@ -164,13 +164,6 @@ class TestCacheInvariance:
         assert warm_runner.cache.stats.as_dict() == {"hits": 1, "misses": 0}
         assert pickle.dumps(cold) == pickle.dumps(warm)
 
-    def test_cache_disabled_matches_cached(self, tmp_path):
-        cached = fig3_curves(ExperimentRunner(workers=1, cache_dir=tmp_path))
-        uncached = fig3_curves(
-            ExperimentRunner(workers=1, cache_dir=tmp_path, use_cache=False)
-        )
-        assert pickle.dumps(cached) == pickle.dumps(uncached)
-
     def test_pooled_warm_cache_matches_serial_cold(self, tmp_path):
         serial_cold = fig3_curves(
             ExperimentRunner(workers=1, cache_dir=tmp_path / "a")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import tempfile
 
 import pytest
 
@@ -121,21 +122,19 @@ class TestSetupCache:
         assert fresh.stats.as_dict() == {"hits": 0, "misses": 1}
         assert pickle.loads(path.read_bytes()) == "rebuilt"
 
-    def test_disabled_cache_always_rebuilds_but_still_writes(self, tmp_path):
-        cache = SetupCache(tmp_path, enabled=False)
-        builds = []
-
-        def builder():
-            builds.append(1)
-            return len(builds)
-
-        first, path = cache.get_or_build("t", {"s": 1}, builder)
-        second, _ = cache.get_or_build("t", {"s": 1}, builder)
-        assert (first, second) == (1, 2)
-        assert builds == [1, 1]
-        # Workers attach by unpickling the artifact, so it must exist
-        # even when reuse is off.
-        assert path.exists()
+    def test_without_a_cache_dir_nothing_is_written(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cache = SetupCache()
+        built, path = cache.get_or_build("t", {"s": 1}, lambda: {"big": True})
+        again, path_again = cache.get_or_build(
+            "t", {"s": 1}, lambda: pytest.fail("must not rebuild")
+        )
+        assert path is None and path_again is None
+        assert again is built  # memoized in process all the same
+        assert cache.stats.as_dict() == {"hits": 1, "misses": 1}
+        assert list(tmp_path.iterdir()) == []
 
     def test_memo_serves_the_same_object_without_reloading(self, tmp_path):
         cache = SetupCache(tmp_path)

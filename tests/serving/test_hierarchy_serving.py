@@ -229,6 +229,42 @@ class TestHierarchicalServing:
         assert not again.value.plan_hit
         assert front.plan_stats().size == 0
 
+    def test_skipped_cluster_counts_as_degraded(self):
+        # With the only winning cluster's super-peer down, the member
+        # fetch never answers and neither path queries a single peer:
+        # both must report the query as degraded.
+        engine = make_super_engine()
+        topology = engine.topology
+        probe = make_super_engine().run_query(
+            QUERY,
+            IQNRouter(),
+            initiator_id=INITIATOR,
+            max_peers=KNOBS["max_peers"],
+        )
+        (winner,) = probe.clusters_ranked
+        faults = FaultPlan(
+            churn=(
+                ChurnEvent(at_ms=0.0, peer_id=topology.super_of_cluster(winner)),
+            )
+        )
+        front = ServingFrontend(
+            SimNetExecutor(engine, faults=faults, seed=3), IQNRouter(), **KNOBS
+        )
+        served = front.serve(QUERY, initiator_id=INITIATOR)
+        front.run()
+        networked = make_super_engine().run_query_networked(
+            QUERY,
+            IQNRouter(),
+            initiator_id=INITIATOR,
+            faults=faults,
+            **KNOBS,
+        )
+        for outcome in (served.value, networked):
+            assert not outcome.selected
+            assert not outcome.timed_out_peers and not outcome.failed_terms
+            assert outcome.topology_fallbacks > 0
+            assert outcome.degraded
+
     def test_hot_serve_skips_super_peer_traffic(self):
         front = ServingFrontend(
             SimNetExecutor(make_super_engine(), seed=3), IQNRouter(), **KNOBS

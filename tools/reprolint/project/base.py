@@ -49,15 +49,14 @@ class ProjectContracts:
         "repro.serving.*",
         "repro.topology.*",
     )
-    #: Callables whose *arguments* become fingerprints or wire bytes; a
-    #: tainted argument here corrupts a content-addressed cache key or a
-    #: cross-peer encoding.
+    #: Callables whose *arguments* become fingerprints or cached setup
+    #: artifacts; a tainted argument here corrupts a content-addressed
+    #: cache key.
     ingest_sinks: tuple[str, ...] = (
         "repro.parallel.cache.fingerprint_parts",
         "repro.parallel.cache.SetupCache.get_or_build",
         "repro.parallel.cache.SetupCache.spill",
         "repro.parallel.runner.ExperimentRunner.setup",
-        "repro.synopses.wire.dumps",
     )
     #: Modules forming the packed-array boundary; arrays crossing
     #: between any two of them must carry declared dtypes.

@@ -33,7 +33,7 @@ were hash-salted — elements themselves remain the caller's problem).
 - a *result sink* (``repro.experiments.*``) whose return value is
   tainted, anchored at the tainted return;
 - an *ingest sink* (``fingerprint_parts``, ``SetupCache.get_or_build``,
-  ``wire.dumps``) receiving a tainted argument, anchored at the call.
+  ``SetupCache.spill``) receiving a tainted argument, anchored at the call.
 """
 
 from __future__ import annotations
