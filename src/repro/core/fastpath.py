@@ -26,10 +26,10 @@ affect.  Turning statistics into novelty floats is a vectorized O(C)
 pass per round using lookup tables indexed by the integer statistic —
 the tables are filled by the same scalar :mod:`math`-based code the
 synopses use, so no NumPy transcendental (whose libm may differ by
-ULPs) ever touches the value path.  The next peer is the first maximum of
-``quality * novelty`` over the candidates in one order fixed per query
-— quality, then peer id, both descending — which is the naive loop's
-tie-break.
+ULPs) ever touches the value path.  The kernels hold the candidates in
+one order fixed per query — quality, then peer id, both descending,
+which is the naive loop's tie-break — so the next peer is the first
+maximum of ``quality * novelty``.
 
 Aggregate-Synopses runs on packed rows too.  The reference is seeded
 once from the strategy's ``start``; after each pick the driver folds the
@@ -53,6 +53,7 @@ from ..routing.base import RoutingContext
 from ..routing.columns import (
     ColumnContextView,
     ColumnViewUnavailable,
+    TermGather,
     cori_score_array,
 )
 from ..routing.cori import CORI_ALPHA
@@ -67,9 +68,9 @@ from ..synopses.columnstore import (
 from ..synopses.bloom import (
     BloomFilter,
     batch_difference_popcounts,
+    column_popcounts,
     pack_bit_row,
     popcount_cardinality_table,
-    row_popcounts,
 )
 from ..synopses.hashsketch import (
     HashSketch,
@@ -150,12 +151,13 @@ class RoutingStats:
 # One kernel tracks every candidate's packed synopsis row against one
 # reference synopsis: the per-peer strategy uses a single kernel over
 # combined query synopses, the per-term strategy one kernel per query
-# term.  The rows are gathered from the directory's column store, and
-# the adapters below have already matched the reference to the stored
-# family and parameters (``column_layout``), so a constructor only packs
-# the reference and computes its statistics.
+# term.  The rows are scattered from the directory's column store in
+# tie-break order, and the adapters below have already matched the
+# reference to the stored family and parameters (``column_layout``), so
+# a constructor only packs the reference and computes its statistics.
 #
-# Row ``i`` of a kernel's matrix is what Aggregate-Synopses unions into
+# Row ``i`` of a kernel's matrix (column ``i`` of Bloom's word-major
+# one) is what Aggregate-Synopses unions into
 # the reference when candidate ``i`` wins: its synopsis even when the
 # candidate is inactive (zero cardinality, which the naive absorb still
 # unions in after a zero-score tie), the neutral payload when there is
@@ -169,6 +171,8 @@ class _Kernel:
 
     #: The family's ``union`` on packed rows (Aggregate-Synopses).
     union: np.ufunc
+    #: Whether the matrix is stored transposed, one row per word.
+    word_major = False
     _reference_row: np.ndarray
 
     def __init__(
@@ -185,12 +189,13 @@ class _Kernel:
 class _BloomColumn(_Kernel):
     """Packed-bit Bloom novelty kernel.
 
-    Operates on a ``(C, words)`` uint64 bit-matrix gathered from the
-    directory's column store and caches every row's popcount of
-    ``row AND NOT reference``.
+    Operates on a word-major ``(words, C)`` uint64 bit-matrix — column
+    ``i`` is candidate ``i``'s filter — and caches every candidate's
+    popcount of ``row AND NOT reference``.
     """
 
     union = np.bitwise_or
+    word_major = True
 
     def __init__(
         self,
@@ -207,10 +212,14 @@ class _BloomColumn(_Kernel):
         self._reference_row = pack_bit_row(reference.raw_bits, reference.num_bits)
         self._popcounts = batch_difference_popcounts(rows, self._reference_row)
 
+    def absorbed(self, best: int) -> np.ndarray:
+        return self.union(self._reference_row, self._rows[:, best])
+
     def refresh_reference(self, new_row: np.ndarray) -> np.ndarray:
         # Absorbs only union bits in, so ``row AND NOT reference`` loses
         # exactly the row's bits among the added ones: one popcount pass.
-        lost = row_popcounts(self._rows & (new_row & ~self._reference_row))
+        added = new_row & ~self._reference_row
+        lost = column_popcounts(self._rows & added[:, None])
         self._popcounts -= lost
         self._reference_row = new_row
         return (lost > 0) & self._active
@@ -386,7 +395,7 @@ class _LogLogColumn(_Kernel):
 # -- strategy adapters -------------------------------------------------------
 #
 # An adapter seeds the family kernels from the strategy's ``start``,
-# attaches them to gathered slices of the directory's stored matrices,
+# attaches them to rows scattered from the directory's stored matrices,
 # and returns them with their reference cardinalities, one per kernel,
 # in the order the strategy's coverage sums them.  From there on the
 # driver owns the reference: packed rows plus these floats.  Rows with
@@ -420,71 +429,75 @@ def _family(
     return column_cls, params, _KERNELS[column_cls]
 
 
-def _term_matrix(
-    column: SynopsisColumn | None,
-    rows: np.ndarray,
-    mask: np.ndarray,
+def _candidate_matrix(
+    gathers: Sequence[TermGather],
     column_cls: type[SynopsisColumn],
     params: tuple[int, ...],
     count: int,
+    fold: np.ufunc,
 ) -> np.ndarray:
-    """One term's stored column gathered into candidate order.
+    """The terms' stored synopsis rows scattered to their candidate rows,
+    each term after the first folded in with ``fold``.
 
-    ``column is None`` means no peer ever posted a packable synopsis for
-    the term, so every candidate row is neutral.
+    Rows without a synopsis are stored neutral, and candidates a term
+    misses keep what is there, so with the family's ``union`` (whose
+    identity is the neutral payload) each row is the union over the
+    candidate's terms; with an intersection only the rows of candidates
+    present in every term are right, the only ones a conjunctive query
+    keeps.  A term no peer posted a packable synopsis for has no column
+    and changes nothing.  The initiator's rows land in a spare last row,
+    which is cut off.
     """
-    if column is None:
-        empty = column_cls(*params, capacity=1)  # type: ignore[call-arg]
-        return empty.neutral_matrix(count)
-    if type(column) is not column_cls or column.params != params:
-        raise FastPathUnsupported(
-            "stored column family or parameters do not match the reference"
-        )
-    return column.gather(rows, mask)
+    matrix = column_cls(*params, capacity=1).neutral_matrix(count + 1)  # type: ignore[call-arg]
+    first = True
+    for gather in gathers:
+        column = gather.columns.synopsis_column
+        if column is None:
+            continue
+        if type(column) is not column_cls or column.params != params:
+            raise FastPathUnsupported(
+                "stored column family or parameters do not match the reference"
+            )
+        stored = column.rows(len(gather.columns))
+        positions = gather.positions
+        if not first:
+            stored = fold(matrix[positions], stored)
+        matrix[positions] = stored
+        first = False
+    return matrix[:count]
 
 
-def _fold_disjunctive(mats: list[np.ndarray], union: np.ufunc) -> np.ndarray:
-    """Row-wise union fold; the neutral payload is the fold identity."""
-    combined = mats[0]
-    for mat in mats[1:]:
-        union(combined, mat, out=combined)
-    return combined
+def _kernel_layout(kernel_cls: type[_Kernel], matrix: np.ndarray) -> np.ndarray:
+    """A candidate-row matrix in the layout the kernel reads."""
+    if kernel_cls.word_major:
+        return np.ascontiguousarray(matrix.T, dtype=matrix.dtype)
+    return matrix
 
 
-def _fold_conjunctive(
-    mats: list[np.ndarray], kernel_cls: Any, crude_fallback: bool
-) -> np.ndarray:
-    """Row-wise intersection fold, mirroring ``PerPeerAggregation.combine``.
+def _intersection(kernel_cls: type[_Kernel], crude_fallback: bool) -> np.ufunc:
+    """The row-wise intersection ``PerPeerAggregation.combine`` folds with.
 
     Hash sketches and LogLog counters raise ``UnsupportedOperationError``
     on every pairwise intersect; with the crude fallback enabled
     ``combine`` degrades each pair to a union, so the whole fold *is* the
     union fold.  Without the fallback ``combine`` raises an error the
-    naive loop must surface — defer to it.  A single-term fold never
-    intersects at all.
+    naive loop must surface — defer to it.
     """
-    if len(mats) == 1:
-        return mats[0]
     if kernel_cls is _BloomColumn:
-        combined = mats[0]
-        for mat in mats[1:]:
-            np.bitwise_and(combined, mat, out=combined)
-        return combined
+        return np.bitwise_and
     if kernel_cls is _MipsColumn:
-        combined = mats[0]
-        for mat in mats[1:]:
-            np.maximum(combined, mat, out=combined)
-        return combined
+        return np.maximum
     if not crude_fallback:
         raise FastPathUnsupported(
             "conjunctive intersection raises for this family; the naive "
             "loop owns that error"
         )
-    return _fold_disjunctive(mats, kernel_cls.union)
+    return kernel_cls.union
 
 
 def _matrix_cardinalities(rows: np.ndarray, reference: Any) -> np.ndarray:
-    """Per-row ``estimate_cardinality()`` of packed synopsis payloads.
+    """Per-candidate ``estimate_cardinality()`` of packed synopsis payloads,
+    in the family kernel's layout (Bloom matrices are word-major).
 
     Tabulated / sequential arithmetic only, so every row's estimate is
     bit-identical to materializing the synopsis object and calling its
@@ -494,7 +507,7 @@ def _matrix_cardinalities(rows: np.ndarray, reference: Any) -> np.ndarray:
         table = popcount_cardinality_table(
             reference.num_bits, reference.num_hashes
         )
-        return np.asarray(table[row_popcounts(rows)], dtype=np.float64)
+        return np.asarray(table[column_popcounts(rows)], dtype=np.float64)
     if type(reference) is MinWisePermutations:
         length = reference.num_permutations
         fractions = rows / float(MIPS_MODULUS)
@@ -547,29 +560,22 @@ def _combined_cardinalities(
     (disjunctive) or smallest (conjunctive) list length.  All clamps run
     on exact int64-derived floats, so results match the scalar path.
     """
-    count = view.count
-    n_present = np.zeros(count, dtype=np.int64)
-    sum_cdf = np.zeros(count, dtype=np.int64)
-    max_cdf = np.zeros(count, dtype=np.int64)
-    min_cdf = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
-    for gather in view.gathers:
-        present = gather.cdf > 0
-        n_present += present
-        sum_cdf += gather.cdf
-        max_cdf = np.maximum(max_cdf, gather.cdf)
-        min_cdf = np.where(present, np.minimum(min_cdf, gather.cdf), min_cdf)
-    sum_f = sum_cdf.astype(np.float64)
+    cdfs = np.stack([gather.cdf for gather in view.gathers])
+    present = cdfs > 0
+    sum_f = cdfs.sum(axis=0).astype(np.float64)
     estimate = _matrix_cardinalities(combined, reference)
     if conjunctive:
+        min_cdf = np.where(present, cdfs, np.iinfo(np.int64).max).min(axis=0)
         clamped = np.minimum(
             np.maximum(0.0, estimate), min_cdf.astype(np.float64)
         )
     else:
         clamped = np.minimum(
-            np.maximum(estimate, max_cdf.astype(np.float64)), sum_f
+            np.maximum(estimate, cdfs.max(axis=0).astype(np.float64)), sum_f
         )
+    # With no present term the sum is 0.0, so it also covers that case.
     return np.asarray(
-        np.where(n_present == 0, 0.0, np.where(n_present == 1, sum_f, clamped)),
+        np.where(np.count_nonzero(present, axis=0) <= 1, sum_f, clamped),
         dtype=np.float64,
     )
 
@@ -584,40 +590,30 @@ def _per_peer_columns(
     reference = state.reference
     column_cls, params, kernel_cls = _family(reference)
     count = view.count
-    mats: list[np.ndarray] = []
     syn_count = np.zeros(count, dtype=np.int64)
-    conj_ok = np.ones(count, dtype=bool) if context.conjunctive else None
     for gather in view.gathers:
-        mats.append(
-            _term_matrix(
-                gather.columns.synopsis_column,
-                gather.rows,
-                gather.has_synopsis,
-                column_cls,
-                params,
-                count,
-            )
-        )
         syn_count += gather.has_synopsis
-        if conj_ok is not None:
-            conj_ok &= gather.has_post & gather.has_synopsis
+    fold = kernel_cls.union
+    if context.conjunctive and len(view.gathers) > 1:
+        fold = _intersection(kernel_cls, aggregation.crude_conjunctive_fallback)
+    combined = _candidate_matrix(view.gathers, column_cls, params, count, fold)
     if context.conjunctive:
-        combined = _fold_conjunctive(
-            mats, kernel_cls, aggregation.crude_conjunctive_fallback
-        )
-    else:
-        combined = _fold_disjunctive(mats, kernel_cls.union)
+        conj_ok = np.ones(count, dtype=bool)
+        for gather in view.gathers:
+            conj_ok &= gather.has_post & gather.has_synopsis
+        # A conjunctive candidate missing a term's synopsis combines to
+        # nothing, so it must absorb as the neutral payload; the rows
+        # kept are folded over every term.
+        combined[~conj_ok] = column_cls.neutral
+    combined = _kernel_layout(kernel_cls, combined)
     cards = _combined_cardinalities(
         view, combined, reference, context.conjunctive
     )
     if bool(np.any(cards < 0.0)):
         raise FastPathUnsupported("negative candidate cardinality")
     active = (syn_count > 0) & (cards > 0.0)
-    if conj_ok is not None:
+    if context.conjunctive:
         active &= conj_ok
-        # A conjunctive candidate missing a term's synopsis combines to
-        # nothing, so it must absorb as the neutral payload.
-        combined[~conj_ok] = column_cls.neutral
     cards = np.where(active, cards, 0.0)
     return [kernel_cls(combined, cards, active, reference)], [
         state.reference_cardinality
@@ -638,14 +634,10 @@ def _per_term_columns(
         # Posts with a synopsis but ``cdf == 0`` score nothing, yet the
         # naive absorb still unions their synopsis in.
         active = gather.has_synopsis & (gather.cdf != 0)
-        matrix = _term_matrix(
-            gather.columns.synopsis_column,
-            gather.rows,
-            gather.has_synopsis,
-            column_cls,
-            params,
-            view.count,
+        matrix = _candidate_matrix(
+            [gather], column_cls, params, view.count, kernel_cls.union
         )
+        matrix = _kernel_layout(kernel_cls, matrix)
         cards = np.where(active, gather.cdf.astype(np.float64), 0.0)
         columns.append(kernel_cls(matrix, cards, active, reference))
     return columns, [
@@ -665,8 +657,9 @@ def column_rank_detailed(
     """Run Select-Best-Peer directly on the directory's packed columns.
 
     Candidate assembly, CORI scoring, and the novelty kernels all read
-    gathered slices of the stored matrices — no per-peer Python objects
-    exist on the hot path.  Plans are bit-identical to the naive loop.
+    rows scattered from the stored matrices — no per-peer Python objects
+    exist on the hot path, and only the selected peers' names are looked
+    up.  Plans are bit-identical to the naive loop.
     Raises :class:`FastPathUnsupported` — always before mutating shared
     state — when the column view cannot serve the context (peer lists on
     different peer-id tables, foreign synopses) or no kernel represents
@@ -683,51 +676,63 @@ def column_rank_detailed(
         raise FastPathUnsupported(str(exc)) from exc
     if view.count == 0:
         return [], RoutingStats(mode="empty", candidates=0)
-    qualities_array = (
+    qualities = (
         cori_score_array(view, alpha=alpha)
         if quality_weighted
         else np.ones(view.count, dtype=np.float64)
     )
+    order = tie_break_order(qualities)
+    view = view.ordered(order)
     if aggregation_type is PerPeerAggregation:
         columns, cardinalities = _per_peer_columns(aggregation, context, view)
     else:
         columns, cardinalities = _per_term_columns(aggregation, context, view)
     stats = RoutingStats(mode="incremental", candidates=view.count)
-    plan = _run_incremental(
-        columns,
-        cardinalities,
-        qualities_array,
-        view.peer_names,
-        stopping,
-        max_peers,
-        stats,
+    picks = _run_incremental(
+        columns, cardinalities, qualities[order], stopping, max_peers, stats
     )
+    names = view.peer_names(np.array([pick for pick, _, _ in picks], dtype=np.int64))
+    plan = [
+        (name, quality, novelty)
+        for name, (_, quality, novelty) in zip(names, picks)
+    ]
     return plan, stats
 
 
 # -- driver ------------------------------------------------------------------
 
 
+def tie_break_order(qualities: np.ndarray) -> np.ndarray:
+    """Candidates in the naive loop's tie-break order.
+
+    The naive loop breaks score ties by the highest quality, then the
+    largest peer id.  Candidates arrive in ascending peer-id order, so
+    that key is quality descending, then position descending (signed
+    zeros tie in the sort, as they do in the naive comparison).
+    """
+    return np.argsort(qualities, kind="stable")[::-1]
+
+
 def _run_incremental(
     columns: list[Any],
     reference_cardinalities: list[float],
-    qualities_array: np.ndarray,
-    peer_ids: list[str],
+    qualities: np.ndarray,
     stopping: StoppingCriterion,
     max_peers: int,
     stats: RoutingStats,
-) -> list[tuple[str, float, float]]:
-    count = len(peer_ids)
-    # The naive loop breaks score ties by the highest quality, then the
-    # largest peer id.  ``peer_ids`` ascend, so that key is this fixed
-    # order, and each round's pick is the first maximum of the scores
-    # read in it (signed zeros tie both in the sort and in ``argmax``).
-    order = np.lexsort((np.arange(count, dtype=np.int64), qualities_array))[::-1]
-    ordered_qualities = qualities_array[order]
-    picked: list[int] = []  # positions in ``order``, scored ``-inf``
+) -> list[tuple[int, float, float]]:
+    """The Select-Best-Peer rounds over candidates in tie-break order.
+
+    Every kernel's rows and ``qualities`` list the candidates in
+    :func:`tie_break_order`, so each round's pick is the first maximum
+    of ``quality * novelty`` (signed zeros tie in ``argmax`` too).
+    Returns ``(position, quality, novelty)`` per pick.
+    """
+    count = len(qualities)
+    picked: list[int] = []  # scored ``-inf`` from then on
     alive = np.ones(count, dtype=bool)
     stats.novelty_evaluations += count
-    plan: list[tuple[str, float, float]] = []
+    plan: list[tuple[int, float, float]] = []
     reference_rows: list[np.ndarray] = []
     for _ in range(min(max_peers, count)):
         stats.rounds += 1
@@ -746,13 +751,12 @@ def _run_incremental(
         novelty = per_column[0]
         for column_novelty in per_column[1:]:
             novelty = novelty + column_novelty
-        scores = ordered_qualities * novelty[order]
+        scores = qualities * novelty
         scores[picked] = -np.inf
-        position = int(scores.argmax())
-        picked.append(position)
-        best = int(order[position])
+        best = int(scores.argmax())
+        picked.append(best)
         best_novelty = float(novelty[best])
-        plan.append((peer_ids[best], float(qualities_array[best]), best_novelty))
+        plan.append((best, float(qualities[best]), best_novelty))
         alive[best] = False
         # Aggregate-Synopses: fold the winner's rows into the reference
         # rows and add its per-column novelty — the gain the naive absorb

@@ -387,10 +387,7 @@ class PeerList:
     @property
     def peer_ids(self) -> frozenset[str]:
         columns = self._columns
-        if len(columns) == 0:
-            return frozenset()
-        names = columns.table.names_array()[columns.interned_ids()]
-        return frozenset(names.tolist())
+        return frozenset(columns.table.names(columns.interned_ids()))
 
     @property
     def collection_frequency(self) -> int:

@@ -49,6 +49,7 @@ __all__ = [
     "pack_bit_row",
     "unpack_bit_row",
     "batch_difference_popcounts",
+    "column_popcounts",
     "row_popcounts",
 ]
 
@@ -183,14 +184,29 @@ def row_popcounts(matrix: np.ndarray) -> np.ndarray:
     return _unpacked_row_popcounts(matrix)
 
 
-def batch_difference_popcounts(rows: np.ndarray, reference_row: np.ndarray) -> np.ndarray:
+def column_popcounts(matrix: np.ndarray) -> np.ndarray:
+    """Per-column popcount of a word-major packed ``uint64`` matrix.
+
+    Column ``j`` of the ``(words, rows)`` matrix is packed row ``j``.
+    Summing over the words adds whole contiguous rows of per-word counts,
+    which is about twice as fast as :func:`row_popcounts`' strided
+    reduction over a row-major matrix.
+    """
+    if hasattr(np, "bitwise_count"):
+        return np.add.reduce(np.bitwise_count(matrix), axis=0, dtype=np.uint32)
+    counts = _unpacked_row_popcounts(np.ascontiguousarray(matrix.T))
+    return counts.astype(np.uint32)
+
+
+def batch_difference_popcounts(words: np.ndarray, reference_row: np.ndarray) -> np.ndarray:
     """Popcount of ``row AND NOT reference`` for every packed row.
 
-    One vectorized pass over the candidate matrix replaces C big-int
-    difference constructions — the Bloom novelty hot loop (Section 5.2's
+    ``words`` is word-major (:func:`column_popcounts`).  One vectorized
+    pass over the candidate matrix replaces C big-int difference
+    constructions — the Bloom novelty hot loop (Section 5.2's
     ``bf_p AND NOT bf_ref``) reduced to two bitwise ops and a popcount.
     """
-    return row_popcounts(rows & ~reference_row)
+    return column_popcounts(words & ~reference_row[:, None])
 
 
 class BloomFilter(SetSynopsis):

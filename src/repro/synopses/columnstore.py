@@ -62,15 +62,17 @@ class PeerIdTable:
 
     One table per directory: every :class:`TermColumns` keys its rows by
     the interned integer, so cross-term candidate assembly is pure array
-    indexing instead of string-dict probing.
+    indexing instead of string-dict probing.  :meth:`name_ranks` orders
+    the interned ids as ``sorted()`` orders their names, so integer sorts
+    reproduce the string tie-breaks exactly.
     """
 
-    __slots__ = ("_index", "_names", "_names_cache")
+    __slots__ = ("_index", "_names", "_rank_memo")
 
     def __init__(self) -> None:
         self._index: dict[str, int] = {}
         self._names: list[str] = []
-        self._names_cache: np.ndarray | None = None
+        self._rank_memo: tuple[np.ndarray, np.ndarray] | None = None
 
     def intern(self, name: str) -> int:
         """Return the stable integer id for ``name``, assigning if new."""
@@ -79,7 +81,7 @@ class PeerIdTable:
             interned = len(self._names)
             self._index[name] = interned
             self._names.append(name)
-            self._names_cache = None
+            self._rank_memo = None
         return interned
 
     def lookup(self, name: str) -> int | None:
@@ -88,18 +90,32 @@ class PeerIdTable:
     def name(self, interned: int) -> str:
         return self._names[interned]
 
-    def names_array(self) -> np.ndarray:
-        """All interned names as a ``<U`` array (index = interned id).
+    def names(self, interned: np.ndarray) -> list[str]:
+        """The names of the given interned ids, in that order."""
+        names = self._names
+        return [names[position] for position in interned.tolist()]
 
-        NumPy ``<U`` comparison is code-point order, identical to Python
-        string comparison — sorts over this array reproduce ``sorted()``
-        tie-breaks exactly.
-        """
-        cache = self._names_cache
-        if cache is None or len(cache) != len(self._names):
-            cache = np.array(self._names, dtype=np.str_)
-            self._names_cache = cache
-        return cache
+    def _ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        memo = self._rank_memo
+        if memo is None:
+            names = self._names
+            by_rank = np.array(
+                sorted(range(len(names)), key=names.__getitem__), dtype=np.int64
+            )
+            ranks = np.empty(len(names), dtype=np.int64)
+            ranks[by_rank] = np.arange(len(names), dtype=np.int64)
+            memo = (ranks, by_rank)
+            self._rank_memo = memo
+        return memo
+
+    def name_ranks(self) -> np.ndarray:
+        """Each interned id's position among the names in ``sorted()``
+        (Python code-point) order; rebuilt after a name is interned."""
+        return self._ranking()[0]
+
+    def names_at_ranks(self, ranks: np.ndarray) -> list[str]:
+        """The names at the given :meth:`name_ranks` positions."""
+        return self.names(self._ranking()[1][ranks])
 
     def __len__(self) -> int:
         return len(self._names)
@@ -111,7 +127,7 @@ class PeerIdTable:
         (names,) = state
         self._names = names
         self._index = {name: position for position, name in enumerate(names)}
-        self._names_cache = None
+        self._rank_memo = None
 
 
 class SynopsisColumn:
@@ -235,19 +251,6 @@ class SynopsisColumn:
         subclass constructor's order (the documented contract).
         """
         return type(self)(*self.params, capacity=capacity)  # type: ignore[call-arg]
-
-    def gather(self, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Copy the masked rows into a fresh candidate-ordered matrix.
-
-        ``rows`` maps output position to stored row (``-1`` = absent);
-        positions where ``mask`` is false — or the row is absent — come
-        out neutral: the empty synopsis, which is what Aggregate-Synopses
-        unions in for a candidate with nothing to absorb.
-        """
-        out = self._make_matrix(len(rows))
-        take = mask & (rows >= 0)
-        out[take] = self._matrix[rows[take]]
-        return out
 
 
 class BloomColumn(SynopsisColumn):
@@ -492,7 +495,6 @@ class TermColumns:
         "_foreign",
         "_histograms",
         "_order_cache",
-        "_inverse_cache",
     )
 
     def __init__(self, term: str, table: PeerIdTable) -> None:
@@ -510,7 +512,6 @@ class TermColumns:
         self._foreign: dict[int, SetSynopsis] = {}
         self._histograms: dict[int, ScoreHistogramSynopsis] = {}
         self._order_cache: np.ndarray | None = None
-        self._inverse_cache: np.ndarray | None = None
 
     # -- ingest ----------------------------------------------------------
 
@@ -709,7 +710,6 @@ class TermColumns:
 
     def _invalidate(self) -> None:
         self._order_cache = None
-        self._inverse_cache = None
 
     @classmethod
     def from_rows(
@@ -818,24 +818,18 @@ class TermColumns:
         Cached until the next mutation, so repeated quality-ordered
         fetches (``Directory.peer_list_batch`` from many requesters)
         reuse one sort.  The key triple is unique per row (peer ids are
-        unique within a term), so reversing the ascending lexsort equals
-        ``sorted(..., reverse=True)`` exactly.
+        unique within a term) and name ranks order peer ids as ``sorted``
+        does, so reversing the ascending lexsort equals
+        ``sorted(..., reverse=True)`` exactly.  Interning a new name
+        re-ranks the table but keeps the relative order of the names
+        already here, so the cached order stays valid.
         """
         order = self._order_cache
         if order is None:
-            names = self._table.names_array()[self.interned_ids()]
-            order = np.lexsort((names, self.cdf_values(), self.max_scores()))[::-1]
+            ranks = self._table.name_ranks()[self.interned_ids()]
+            order = np.lexsort((ranks, self.cdf_values(), self.max_scores()))[::-1]
             self._order_cache = order
         return order
-
-    def peer_rows(self, interned: np.ndarray) -> np.ndarray:
-        """Map interned peer ids to this term's rows (``-1`` = absent)."""
-        inverse = self._inverse_cache
-        if inverse is None or len(inverse) < len(self._table):
-            inverse = np.full(len(self._table), -1, dtype=np.int64)
-            inverse[self.interned_ids()] = np.arange(self._size, dtype=np.int64)
-            self._inverse_cache = inverse
-        return inverse[interned]
 
     def synopsis_at(self, row: int) -> SetSynopsis | None:
         """Materialize the synopsis stored at ``row`` (compat path)."""
@@ -894,7 +888,6 @@ class TermColumns:
     def __getstate__(self) -> dict[str, Any]:
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_order_cache"] = None
-        state["_inverse_cache"] = None
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:

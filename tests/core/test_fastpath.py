@@ -28,6 +28,7 @@ from repro.core.fastpath import (
     _MipsColumn,
     _run_incremental,
     column_rank_detailed,
+    tie_break_order,
 )
 from repro.core.histogram_routing import HistogramAggregation
 from repro.core.iqn import IQNRouter
@@ -432,8 +433,9 @@ class TestBloomTier:
         active = np.array([ok for _, ok in candidates], dtype=bool)
         cards = [float(len(ids)) for ids, _ in candidates]
         reference = build(seed_ids)
-        rows = np.stack([pack_bit_row(s.raw_bits, 256) for s in synopses])
-        column = _BloomColumn(rows, cards, active, reference)
+        # Word-major: column ``i`` is candidate ``i``'s filter.
+        words = np.stack([pack_bit_row(s.raw_bits, 256) for s in synopses], axis=1)
+        column = _BloomColumn(words, cards, active, reference)
 
         def popcounts(ref):
             return [(s.raw_bits & ~ref.raw_bits).bit_count() for s in synopses]
@@ -468,10 +470,10 @@ class TestIncrementalStatistics:
     )
 
     @staticmethod
-    def absorb_each(column, rows, picks):
+    def absorb_each(column, count, picks):
         """Fold candidate rows into the reference, as the driver does."""
         for pick in picks:
-            reference_row = column.absorbed(pick % len(rows))
+            reference_row = column.absorbed(pick % count)
             column.refresh_reference(reference_row)
             yield reference_row
 
@@ -482,13 +484,14 @@ class TestIncrementalStatistics:
             return BloomFilter.from_ids(ids, num_bits=256, num_hashes=3)
 
         active = np.array([ok for _, ok in candidates], dtype=bool)
-        rows = np.stack(
-            [pack_bit_row(build(ids).raw_bits, 256) for ids, _ in candidates]
+        words = np.stack(
+            [pack_bit_row(build(ids).raw_bits, 256) for ids, _ in candidates],
+            axis=1,
         )
         cards = [float(len(ids)) for ids, _ in candidates]
-        column = _BloomColumn(rows, cards, active, build(seed_ids))
-        for reference_row in self.absorb_each(column, rows, picks):
-            recount = batch_difference_popcounts(rows, reference_row)
+        column = _BloomColumn(words, cards, active, build(seed_ids))
+        for reference_row in self.absorb_each(column, len(candidates), picks):
+            recount = batch_difference_popcounts(words, reference_row)
             assert column._popcounts[active].tolist() == recount[active].tolist()
 
     @given(*scenario)
@@ -501,7 +504,7 @@ class TestIncrementalStatistics:
         )
         cards = [float(len(ids)) for ids, _ in candidates]
         column = _MipsColumn(rows, cards, active, spec.build(seed_ids))
-        for reference_row in self.absorb_each(column, rows, picks):
+        for reference_row in self.absorb_each(column, len(rows), picks):
             recount = batch_match_counts(rows, reference_row)
             assert column._matches[active].tolist() == recount[active].tolist()
 
@@ -533,18 +536,27 @@ class TestTieBreak:
 
     @staticmethod
     def driver_picks(novelty, qualities, peer_ids):
-        """Candidate indices in the order a full plan picks them."""
+        """Candidate indices in the order a full plan picks them.
+
+        The driver reads its rows in tie-break order, as
+        ``column_rank_detailed`` hands them over, and reports positions
+        in that order.
+        """
         count = len(peer_ids)
+        order = tie_break_order(qualities)
         plan = _run_incremental(
-            [FixedNovelty(novelty)],
+            [FixedNovelty(novelty[order])],
             [0.0],
-            qualities,
-            peer_ids,
+            qualities[order],
             MaxPeers(count),
             count,
             RoutingStats(mode="incremental"),
         )
-        return [peer_ids.index(peer_id) for peer_id, _, _ in plan]
+        picks = [int(order[position]) for position, _, _ in plan]
+        for pick, (_, quality, novelty_value) in zip(picks, plan):
+            assert quality == qualities[pick]
+            assert novelty_value == novelty[pick]
+        return picks
 
     def key_rule_picks(self, novelty, qualities, peer_ids):
         scores = qualities * novelty

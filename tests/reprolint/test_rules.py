@@ -106,6 +106,23 @@ class TestMutatingMethodMustInvalidateCache:
     def test_mutation_with_reset_is_clean(self):
         assert lint(self.COMPLIANT, IN_SCOPE["RPRL001"]) == []
 
+    def test_interning_without_a_rank_reset_fires(self):
+        source = """
+            class Table:
+                __slots__ = ("_names", "_rank_memo")
+
+                def __init__(self):
+                    self._names = []
+                    self._rank_memo = None
+
+                def intern(self, name):
+                    self._names.append(name)
+                    self._names = list(self._names)
+            """
+        findings = lint(source, IN_SCOPE["RPRL001"])
+        assert ids(findings) == ["RPRL001"]
+        assert "_rank_memo" in findings[0].message
+
     def test_memo_slot_detected_from_init_without_slots(self):
         source = """
             class Counter:

@@ -16,6 +16,7 @@ from repro.synopses.bloom import (
     _unpacked_row_popcounts,
     batch_difference_popcounts,
     cardinality_from_popcount,
+    column_popcounts,
     pack_bit_row,
     popcount_cardinality_table,
     row_popcounts,
@@ -73,11 +74,12 @@ class TestBloomKernels:
         reference = filters[0]
         for other in filters[1:]:
             reference = reference.union(other)
-        rows = np.stack(
-            [pack_bit_row(f.raw_bits, self.M) for f in self.filters(2)]
+        # Word-major, as the Bloom kernel stores it: column i is filter i.
+        words = np.stack(
+            [pack_bit_row(f.raw_bits, self.M) for f in self.filters(2)], axis=1
         )
         reference_row = pack_bit_row(reference.raw_bits, self.M)
-        popcounts = batch_difference_popcounts(rows, reference_row)
+        popcounts = batch_difference_popcounts(words, reference_row)
         for synopsis, popcount in zip(self.filters(2), popcounts.tolist()):
             difference = synopsis.difference(reference)
             assert difference.bit_count == popcount
@@ -94,7 +96,7 @@ class TestBloomKernels:
         not hasattr(np, "bitwise_count"), reason="NumPy < 2.0 has no bitwise_count"
     )
     @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (7, 3), (40, 32)])
-    def test_fallback_popcounts_match_bitwise_count(self, shape):
+    def test_fallback_popcounts_match_bitwise_count(self, shape, monkeypatch):
         # NumPy 1.x (which ``pyproject.toml`` allows) takes the fallback.
         matrix = np.random.default_rng(shape[1]).integers(
             0, 2**64, size=shape, dtype=np.uint64, endpoint=False
@@ -104,6 +106,15 @@ class TestBloomKernels:
         fallback = _unpacked_row_popcounts(matrix)
         assert fallback.dtype == expected.dtype
         assert fallback.tolist() == expected.tolist()
+        # The word-major reduction the Bloom kernel runs every round goes
+        # through the same fallback, on the transposed matrix.
+        words = np.ascontiguousarray(matrix.T)
+        column_expected = column_popcounts(words)
+        assert column_expected.tolist() == expected.tolist()
+        monkeypatch.delattr(np, "bitwise_count")
+        column_fallback = column_popcounts(words)
+        assert column_fallback.dtype == column_expected.dtype
+        assert column_fallback.tolist() == column_expected.tolist()
 
     def test_popcount_table_matches_estimator(self):
         table = popcount_cardinality_table(self.M, self.K)

@@ -63,13 +63,22 @@ class TestPeerIdTable:
         assert table.name(a) == "peer-a"
         assert len(table) == 2
 
-    def test_names_array_tracks_growth(self):
+    def test_name_ranks_track_growth(self):
         table = PeerIdTable()
         table.intern("x")
-        first = table.names_array()
-        assert first.tolist() == ["x"]
-        table.intern("y")
-        assert table.names_array().tolist() == ["x", "y"]
+        first = table.name_ranks()
+        assert first.tolist() == [0]
+        assert table.name_ranks() is first  # cached
+        # A name sorting first re-ranks every earlier name.  A trailing
+        # NUL keeps a name distinct from its prefix and sorts after it.
+        for name in ("y", "x\x00", ""):
+            table.intern(name)
+        names = ["x", "y", "x\x00", ""]
+        ranks = table.name_ranks()
+        assert ranks is not first
+        assert [names[i] for i in np.argsort(ranks)] == sorted(names)
+        assert table.names_at_ranks(np.arange(4)) == sorted(names)
+        assert table.names(np.array([2, 0])) == ["x\x00", "x"]
 
     def test_pickle_round_trip(self):
         table = PeerIdTable()
@@ -78,7 +87,8 @@ class TestPeerIdTable:
         clone = pickle.loads(pickle.dumps(table))
         assert len(clone) == 3
         assert clone.lookup("a") == table.lookup("a")
-        assert clone.names_array().tolist() == table.names_array().tolist()
+        assert clone.names(np.arange(3)) == table.names(np.arange(3))
+        assert clone.name_ranks().tolist() == table.name_ranks().tolist()
 
 
 class TestPackRoundTrip:
@@ -134,18 +144,6 @@ class TestPackRoundTrip:
         column = column_for(FAMILIES["mips"]({1, 2, 3}))
         assert column is not None
         assert column.materialize(0) == empty  # untouched row
-
-    def test_gather_masks_to_neutral(self):
-        synopsis = FAMILIES["bloom"]({1, 2, 3})
-        column = column_for(synopsis)
-        assert column is not None
-        column.set_row(0, synopsis)
-        rows = np.array([0, -1, 0], dtype=np.int64)
-        mask = np.array([True, True, False])
-        gathered = column.gather(rows, mask)
-        assert gathered[0].tolist() == column._matrix[0].tolist()
-        assert not gathered[1].any()  # absent row -> neutral
-        assert not gathered[2].any()  # masked row -> neutral
 
 
 class TestTermColumns:
@@ -204,12 +202,12 @@ class TestTermColumns:
         order = columns.quality_order()
         assert columns.quality_order() is order  # cached
         expected = sorted(posts, reverse=True)
-        names = columns.table.names_array()[columns.interned_ids()]
+        names = columns.table.names(columns.interned_ids())
         got = [
             (
                 float(columns.max_scores()[row]),
                 int(columns.cdf_values()[row]),
-                str(names[row]),
+                names[row],
             )
             for row in order.tolist()
         ]
@@ -217,17 +215,23 @@ class TestTermColumns:
         columns.upsert(*self.post_args("zz", 99))
         assert columns.quality_order() is not order  # invalidated
 
-    def test_peer_rows_inverse_tracks_table_growth(self):
+    def test_quality_order_survives_table_growth(self):
         table = PeerIdTable()
         columns = TermColumns("alpha", table)
-        columns.upsert("p1", 1, 1.0, 0.5, 10, None, None)
-        assert columns.peer_rows(np.array([0], dtype=np.int64)).tolist() == [0]
-        # Another term interns new peers into the shared table; the
-        # cached inverse must grow with it.
-        other = table.intern("p2")
-        assert columns.peer_rows(
-            np.array([other], dtype=np.int64)
-        ).tolist() == [-1]
+        for peer in ("p2", "p1\x00", "p1"):
+            columns.upsert(peer, 1, 1.0, 0.5, 10, None, None)
+        order = columns.quality_order()
+        names = columns.table.names(columns.interned_ids())
+        assert [names[row] for row in order.tolist()] == ["p2", "p1\x00", "p1"]
+        # Another term interns a name that sorts first: the table
+        # re-ranks, but the cached order keeps these names' relative
+        # order and stays valid.
+        table.intern("a")
+        assert columns.quality_order() is order
+        ranks = table.name_ranks()[columns.interned_ids()]
+        assert np.lexsort((ranks, columns.cdf_values(), columns.max_scores()))[
+            ::-1
+        ].tolist() == order.tolist()
 
     def test_foreign_synopsis_breaks_purity(self):
         columns = self.make()

@@ -2,7 +2,8 @@
 
 The synopsis classes memoize derived quantities (``_cardinality``,
 ``_bit_count``) in dedicated slots, populated lazily by
-``estimate_cardinality`` / ``bit_count``.  The fast-path/naive plan
+``estimate_cardinality`` / ``bit_count``; the peer-id table memoizes its
+name ranks (``_rank_memo``), which the routing view sorts candidates by.  The fast-path/naive plan
 equivalence that PR 2 established holds only while those memos can
 never go stale: any method that assigns to *other* instance state after
 construction must reset every memo slot to ``None`` in the same method.
@@ -23,7 +24,9 @@ from ..registry import Rule, register_rule
 __all__ = ["MutatingMethodMustInvalidateCache", "MEMO_SLOT_NAMES"]
 
 #: Instance attributes treated as memo caches of derived state.
-MEMO_SLOT_NAMES = frozenset({"_cardinality", "_bit_count", "_stats_memo"})
+MEMO_SLOT_NAMES = frozenset(
+    {"_cardinality", "_bit_count", "_stats_memo", "_rank_memo"}
+)
 
 #: Methods allowed to assign state without invalidation: constructors
 #: and copy/pickle plumbing that rebuilds instances from scratch.
