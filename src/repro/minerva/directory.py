@@ -217,11 +217,13 @@ class Directory:
         """The stored PeerList for ``term`` without charging any cost.
 
         Maintenance-path read: topology builds (cluster synopses,
-        super-peer elections) and churn repairs consume directory state
-        in place; only *query-time* fetches pay routing and payload.
+        super-peer elections), churn repairs and super-peer answers
+        consume directory state in place; only *query-time* fetches pay
+        routing and payload.  The owner is read off the ring directly
+        (:meth:`~repro.dht.ring.ChordRing.get`), not routed to: the ring
+        repairs its pointers eagerly, so it is the node a lookup reaches.
         """
-        lookup = self.ring.lookup(term)
-        stored = self.ring.node(lookup.owner).store.get(self.ring.key_id(term))
+        stored = self.ring.get(term)
         return stored if isinstance(stored, PeerList) else None
 
     def stored_terms(self) -> set[str]:

@@ -396,11 +396,21 @@ class PeerList:
 
     @property
     def size_in_bits(self) -> int:
+        return self.rows_size_in_bits(None)
+
+    def rows_size_in_bits(self, rows: np.ndarray | None) -> int:
+        """Wire bits of the posts at ``rows`` (every post when ``None``).
+
+        Read in place from the columns: the same integer as the
+        ``size_in_bits`` of ``PeerList.from_rows(term, table, [(self,
+        rows)])``, with no copy.
+        """
         columns = self._columns
+        count = len(columns) if rows is None else len(rows)
         return (
-            POST_STATS_BITS * len(columns)
-            + columns.synopsis_bits()
-            + columns.histogram_bits()
+            POST_STATS_BITS * count
+            + columns.synopsis_bits(rows)
+            + columns.histogram_bits(rows)
         )
 
     def top_by_quality(self, count: int) -> list[Post]:

@@ -14,8 +14,11 @@ the two stages that become messages:
   load) to the owning peer; any other request goes straight to the peer
   the topology names (:meth:`~repro.topology.base.RoutingTopology.server_of`).
   One handler per peer answers them all through
-  :meth:`~repro.topology.base.RoutingTopology.answer`, and a request
-  that never gets a reply is sent back to the assembly as ``None``;
+  :meth:`~repro.topology.base.RoutingTopology.answer` and sends each
+  reply in the request's ``detached`` form (a member fetch's row
+  selections are copied there, before churn can move the stored rows),
+  and a request that never gets a reply is sent back to the assembly
+  as ``None``;
 - **forward** — one RPC per selected peer, fanned out concurrently;
   each peer serves its local top-k after a service time, and a peer
   that never answers is replaced by the next-ranked spare.
@@ -220,7 +223,8 @@ class SimNetExecutor:
             if node_id is None:
                 return None  # departed since construction: no reply
             [(reply, bits)] = self.engine.topology.answer([request], node_id)
-            return reply, bits, self.directory_service_ms
+            # Sim time passes before the reply arrives: send it detached.
+            return request.detached(reply), bits, self.directory_service_ms
 
         return handler
 

@@ -866,19 +866,36 @@ class TermColumns:
             self._histograms.get(interned),
         )
 
-    def synopsis_bits(self) -> int:
-        """Total wire bits of all stored synopses (packed + foreign)."""
-        flagged = int(np.count_nonzero(self.synopsis_flags()))
-        packed = flagged - len(self._foreign)
-        bits = sum(synopsis.size_in_bits for synopsis in self._foreign.values())
+    def synopsis_bits(self, rows: np.ndarray | None = None) -> int:
+        """Total wire bits of the stored synopses (packed + foreign) of
+        every row, or of ``rows`` only."""
+        if rows is None:
+            flags = self.synopsis_flags()
+            foreign = list(self._foreign.values())
+        else:
+            flags = self._has_synopsis[rows]
+            foreign = self._objects_at(self._foreign, rows)
+        packed = int(np.count_nonzero(flags)) - len(foreign)
+        bits = sum(synopsis.size_in_bits for synopsis in foreign)
         if self._column is not None and packed > 0:
             bits += packed * self._column.bits_per_row
         return bits
 
-    def histogram_bits(self) -> int:
-        return sum(
-            histogram.size_in_bits for histogram in self._histograms.values()
-        )
+    def histogram_bits(self, rows: np.ndarray | None = None) -> int:
+        """Total wire bits of the histograms of every row, or of ``rows``."""
+        if rows is None:
+            histograms = list(self._histograms.values())
+        else:
+            histograms = self._objects_at(self._histograms, rows)
+        return sum(histogram.size_in_bits for histogram in histograms)
+
+    def _objects_at(self, objects: dict[int, Any], rows: np.ndarray) -> list[Any]:
+        """The values ``objects`` keeps for the peers at ``rows``."""
+        if not objects:
+            return []
+        ids = self._peer_ids[rows]
+        held = np.fromiter(objects, dtype=np.int64, count=len(objects))
+        return [objects[peer] for peer in ids[np.isin(ids, held)].tolist()]
 
     def __len__(self) -> int:
         return self._size

@@ -20,7 +20,9 @@ request, ``None`` where the request failed, so a failure is handled
 next to the happy path.  Two drivers answer the requests, and only they
 differ: :meth:`RoutingTopology.assemble` in-process from the host's
 directory, :class:`~repro.simnet.executor.SimNetExecutor` as one RPC
-each.  Both read replies through :meth:`RoutingTopology.answer`.
+each.  Both read replies through :meth:`RoutingTopology.answer`; the
+networked one sends each request's ``detached`` reply, since sim time
+passes before it arrives.
 :meth:`RoutingTopology.context_for` and :meth:`RoutingTopology.plan`
 then turn the lists into a ranked plan.
 
@@ -36,6 +38,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, Generator, Protocol, Sequence, Union
+
+import numpy as np
 
 from ..datasets.queries import Query
 from ..minerva.directory import Directory
@@ -59,6 +63,8 @@ __all__ = [
     "TopologyPlan",
     "ReElection",
     "RoutingTopology",
+    "RowSelection",
+    "selection_list",
 ]
 
 
@@ -77,16 +83,51 @@ class TopologyHost(Protocol):
     def num_peers(self) -> int: ...
 
 
+#: Rows of a stored PeerList, in reply order: what a super-peer answers
+#: per term of a :class:`MemberFetch`.
+RowSelection = tuple[PeerList, np.ndarray]
+
+
+def selection_list(term: str, selection: RowSelection) -> PeerList:
+    """``term``'s selected rows copied into a PeerList of their own."""
+    source, _ = selection
+    return PeerList.from_rows(term, source.peer_table, [selection])
+
+
 def _lists_bits(reply: dict[str, PeerList]) -> int:
     return sum(peer_list.size_in_bits for peer_list in reply.values())
 
 
+def _selections_bits(reply: dict[str, RowSelection]) -> int:
+    return sum(source.rows_size_in_bits(rows) for source, rows in reply.values())
+
+
+def _detached_selections(reply: dict[str, RowSelection]) -> dict[str, RowSelection]:
+    """Each selection copied out: rows no later write to the store moves."""
+    detached: dict[str, RowSelection] = {}
+    for term, selection in reply.items():
+        copy = selection_list(term, selection)
+        detached[term] = (copy, np.arange(len(copy), dtype=np.int64))
+    return detached
+
+
+def _live(reply: Any) -> Any:
+    # Not copied: routing reads the stored object as it is on arrival,
+    # so a write while the reply is in flight shows through.
+    return reply
+
+
 @dataclass(frozen=True)
 class PeerListFetch:
-    """``term``'s PeerList, routed over the DHT to the term's owner."""
+    """``term``'s PeerList, routed over the DHT to the term's owner.
+
+    Every request class names its reply's wire size (``reply_bits``)
+    and the reply as a networked server sends it (``detached``).
+    """
 
     term: str
     kind: ClassVar[str] = MessageKinds.PEERLIST_FETCH
+    detached = staticmethod(_live)
 
     @property
     def terms(self) -> tuple[str, ...]:
@@ -113,17 +154,25 @@ class ClusterFetch:
     kind: ClassVar[str] = MessageKinds.CLUSTER_FETCH
     dht_key: ClassVar[None] = None
     reply_bits = staticmethod(_lists_bits)
+    detached = staticmethod(_live)
 
 
 @dataclass(frozen=True)
 class MemberFetch:
-    """Cluster ``label``'s live members' slices of ``terms``' PeerLists."""
+    """Cluster ``label``'s live members' rows of ``terms``' PeerLists.
+
+    The reply maps each term to a :data:`RowSelection` of the stored
+    list.  Read in-process, the rows are merged in place; a networked
+    reply is copied when the server sends it, because churn can move
+    stored rows (swap-with-last removal) before it arrives.
+    """
 
     label: str
     terms: tuple[str, ...]
     kind: ClassVar[str] = MessageKinds.MEMBER_FETCH
     dht_key: ClassVar[None] = None
-    reply_bits = staticmethod(_lists_bits)
+    reply_bits = staticmethod(_selections_bits)
+    detached = staticmethod(_detached_selections)
 
 
 DirectoryRequest = Union[PeerListFetch, ClusterFetch, MemberFetch]

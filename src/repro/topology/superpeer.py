@@ -16,10 +16,13 @@ Query assembly is two-phase IQN under a split budget:
    cluster directory of the query terms (one ``cluster_fetch`` message)
    and runs IQN over the merged cluster synopses, selecting at most the
    cluster budget (default ``isqrt(max_peers)``).
-2. **Rank members** — each winning cluster's super-peer ships its live
-   members' PeerList rows back as column slices (one ``member_fetch``
-   per winner), the slices are concatenated in winner order, and the
-   query's selector ranks only those peers under the full peer budget.
+2. **Rank members** — each winning cluster's super-peer answers, per
+   term, a row selection of the stored PeerList: its live members' rows
+   in member order (one ``member_fetch`` per winner).  Each term's
+   selections are gathered into one merged list, in winner order, and
+   the query's selector ranks only those peers under the full peer
+   budget.  In-process the rows are read in place; only a networked
+   reply is copied, when the super-peer sends it.
 
 Against the flat topology — which pays per-term DHT routing hops plus
 the *complete* PeerList payload of every term — the super-peer tier
@@ -53,7 +56,9 @@ from .base import (
     MemberFetch,
     ReElection,
     RoutingTopology,
+    RowSelection,
     ScopedLists,
+    selection_list,
 )
 from .clustering import (
     Cluster,
@@ -74,6 +79,12 @@ __all__ = ["SuperPeerTopology"]
 
 #: Cluster budget when neither the topology nor the query pins one.
 DEFAULT_CLUSTER_BUDGET = 3
+
+#: A term's stored list, its live rows by (cluster, member rank), and
+#: each cluster index's first position in those rows.
+_GroupedRows = tuple[PeerList, np.ndarray, list[int]]
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class SuperPeerTopology(RoutingTopology):
@@ -380,12 +391,12 @@ class SuperPeerTopology(RoutingTopology):
         the packed group-fold is for the full build, this is the churn
         repair path.  Returns the touched terms, sorted.
         """
-        lists_by_term, _ = self.member_posts(
+        selections, _ = self.member_posts(
             label, tuple(sorted(self._cluster_lists))
         )
         touched: list[str] = []
-        for term, members in lists_by_term.items():
-            posts = list(members)
+        for term, selection in selections.items():
+            posts = list(selection_list(term, selection))
             peer_list = self._cluster_lists[term]
             had = peer_list.get(label) is not None
             if not posts:
@@ -470,50 +481,73 @@ class SuperPeerTopology(RoutingTopology):
         label: str,
         terms: tuple[str, ...],
         *,
-        stored: dict[str, PeerList | None] | None = None,
-    ) -> tuple[dict[str, PeerList], int]:
-        """One cluster's live members' per-term PeerList slices + wire bits.
+        stored: dict[str, _GroupedRows | None] | None = None,
+    ) -> tuple[dict[str, RowSelection], int]:
+        """One cluster's live members' rows of each term + wire bits.
 
-        Scans each term's stored posters — usually far fewer than the
-        cluster's members — keeps the cluster's live ones, in member
-        order, and gathers their rows straight from the stored columns
-        (:meth:`PeerList.from_rows`): what the super-peer ships is a
-        column slice, never re-packed Posts.  The bits are the slices'
-        ``size_in_bits``, the same integers as the per-post wire sizes.
-        ``stored`` caches each term's stored list (``None`` = nobody
-        posted) across calls: :meth:`answer` shares one per batch, so a
-        query looks each term up once.
+        Per term, the reply is a row selection ``(stored PeerList,
+        rows)``: the cluster's live posters, in member order.  Nothing is
+        copied; the bits are read from the stored columns over the rows
+        (:meth:`PeerList.rows_size_in_bits`), the same integers as the
+        size of the copied slice.  Only a networked reply is copied, when
+        the super-peer sends it (:meth:`MemberFetch.detached`).
+        ``stored`` caches each term's rows grouped by live cluster
+        (``None`` = nobody posted) across calls: :meth:`answer` shares
+        one per batch, so a query groups each term once.
         """
         self.ensure_clusters()
-        directory = self.host.directory
-        table = directory.peer_table
+        table = self.host.directory.peer_table
         index = self._cluster_index.get(label)
         if index is None:
-            return {term: PeerList(term=term, peer_table=table) for term in terms}, 0
+            return {
+                term: (PeerList(term=term, peer_table=table), _NO_ROWS)
+                for term in terms
+            }, 0
         if stored is None:
             stored = {}
-        if len(self._live_cluster) < len(table):
-            # Peers interned after the build belong to no cluster.
-            padding = np.full(
-                len(table) - len(self._live_cluster), -1, dtype=np.int64
-            )
-            self._live_cluster = np.concatenate([self._live_cluster, padding])
-        out: dict[str, PeerList] = {}
+        out: dict[str, RowSelection] = {}
         bits = 0
         for term in terms:
             if term not in stored:
-                stored[term] = directory.stored_list(term)
-            source = stored[term]
-            if source is None:
-                out[term] = PeerList(term=term, peer_table=table)
+                stored[term] = self._grouped_rows(term)
+            grouped = stored[term]
+            if grouped is None:
+                out[term] = (PeerList(term=term, peer_table=table), _NO_ROWS)
                 continue
-            ids = source.columns.interned_ids()
-            rows = np.flatnonzero(self._live_cluster[ids] == index)
-            rows = rows[np.argsort(self._member_rank[ids[rows]], kind="stable")]
-            scoped = PeerList.from_rows(term, table, [(source, rows)])
-            out[term] = scoped
-            bits += scoped.size_in_bits
+            source, order, bounds = grouped
+            rows = order[bounds[index] : bounds[index + 1]]
+            out[term] = (source, rows)
+            bits += source.rows_size_in_bits(rows)
         return out, bits
+
+    def _grouped_rows(self, term: str) -> _GroupedRows | None:
+        """``term``'s stored list, its live clustered rows sorted by
+        (cluster, member rank), and each cluster index's start in them
+        (one past the last cluster's end closes the list)."""
+        source = self.host.directory.stored_list(term)
+        if source is None:
+            return None
+        table_size = len(source.peer_table)
+        if len(self._live_cluster) < table_size:
+            # Peers interned after the build belong to no cluster.
+            padding = table_size - len(self._live_cluster)
+            self._live_cluster = np.concatenate(
+                [self._live_cluster, np.full(padding, -1, dtype=np.int64)]
+            )
+            self._member_rank = np.concatenate(
+                [self._member_rank, np.zeros(padding, dtype=np.int64)]
+            )
+        ids = source.columns.interned_ids()
+        clusters = self._live_cluster[ids]
+        # Down or unclustered rows (cluster -1) sort first and fall
+        # before every cluster's start.
+        order = np.argsort(
+            clusters * table_size + self._member_rank[ids], kind="stable"
+        )
+        bounds = np.searchsorted(
+            clusters[order], np.arange(len(self._cluster_index) + 1)
+        )
+        return source, order, bounds.tolist()
 
     def assembly(
         self,
@@ -556,12 +590,7 @@ class SuperPeerTopology(RoutingTopology):
         # Winner order, then member order: one column gather per term.
         merged = {
             term: PeerList.from_rows(
-                term,
-                table,
-                [
-                    (lists[term], np.arange(len(lists[term]), dtype=np.int64))
-                    for _, lists in answered
-                ],
+                term, table, [selections[term] for _, selections in answered]
             )
             for term in terms
         }
@@ -577,16 +606,16 @@ class SuperPeerTopology(RoutingTopology):
     def answer(
         self, requests: Sequence[DirectoryRequest], node_id: int | None = None
     ) -> list[tuple[Any, int]]:
-        """Cluster directories and member slices as well; a batch's member
-        fetches share one lookup of each term's stored list."""
-        stored: dict[str, PeerList | None] = {}
+        """Cluster directories and member row selections as well; a
+        batch's member fetches share one grouping of each term's rows."""
+        grouped: dict[str, _GroupedRows | None] = {}
         replies: list[tuple[Any, int]] = []
         for request in requests:
             if isinstance(request, ClusterFetch):
                 replies.append(self.cluster_peer_lists(request.terms))
             elif isinstance(request, MemberFetch):
                 replies.append(
-                    self.member_posts(request.label, request.terms, stored=stored)
+                    self.member_posts(request.label, request.terms, stored=grouped)
                 )
             else:
                 replies += super().answer([request], node_id)

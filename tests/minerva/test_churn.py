@@ -134,3 +134,38 @@ class TestReplicatedDirectoryChurn:
         engine.remove_peer(owner_peer)
         surviving = engine.directory.peer_list("apple").peer_ids
         assert expected <= surviving
+
+
+class TestStoredListOwner:
+    def test_stored_list_is_the_routed_owners_list(self):
+        # stored_list reads the owner off the ring instead of routing to
+        # it; joins and leaves must not set the two apart.
+        terms = [f"t{index:02d}" for index in range(24)]
+        docs = [
+            Document.from_terms(i, [terms[i % 24], terms[(i * 7) % 24]])
+            for i in range(48)
+        ]
+        engine = MinervaEngine(
+            [Corpus.from_documents(docs[i::6]) for i in range(6)], spec=SPEC
+        )
+        engine.publish(set(terms))
+        directory = engine.directory
+
+        def owners():
+            stored = directory.stored_terms()
+            assert len(stored) == len(terms)
+            out = {}
+            for term in stored:
+                owner = directory.ring.lookup(term).owner
+                assert directory.stored_list(term) is directory.list_at(owner, term)
+                out[term] = owner
+            return out
+
+        before = owners()
+        engine.add_peer(
+            "pnew", Corpus.from_documents([Document.from_terms(900, terms[:5])])
+        )
+        joined = owners()
+        engine.remove_peer("p01")
+        left = owners()
+        assert joined != before and left != joined

@@ -360,6 +360,24 @@ class TestFromRows:
         assert list(clone) == posts
         assert clone.size_in_bits == gathered.size_in_bits
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(entries=st.lists(postings, max_size=12), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_row_bits_equal_the_gathered_size(self, family, entries, data):
+        # Foreign synopses, histograms and rows without a synopsis, in a
+        # list with or without a packed column; any selection, empty too.
+        table = PeerIdTable()
+        source = PeerList(term="t", peer_table=table)
+        for index, posting in enumerate(entries):
+            source.add(make_post(f"p{index}", "t", family, posting), retain=False)
+        order = data.draw(st.permutations(range(len(source))))
+        taken = data.draw(st.integers(min_value=0, max_value=len(order)))
+        for rows in (order[:taken], []):
+            rows = np.array(rows, dtype=np.int64)
+            gathered = PeerList.from_rows("t", table, [(source, rows)])
+            assert source.rows_size_in_bits(rows) == gathered.size_in_bits
+        assert source.size_in_bits == sum(post.size_in_bits for post in source)
+
     def test_empty_parts_give_an_empty_list(self):
         table = PeerIdTable()
         gathered = PeerList.from_rows("t", table, [])

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.aggregation import PerPeerAggregation, PerTermAggregation
 from repro.core.iqn import IQNRouter
 from repro.datasets.queries import Query
 from repro.ir.documents import Corpus, Document
-from repro.net.cost import MessageKinds
-from repro.net.latency import LatencyProfile
-from repro.topology import SuperPeerTopology
 from repro.minerva.posts import PeerList
+from repro.net.cost import CostModel, MessageKinds
+from repro.net.latency import LatencyProfile
+from repro.simnet.clock import spawn
+from repro.simnet.executor import SimNetExecutor
 from repro.synopses.factory import SynopsisSpec
-from repro.topology.base import ReElection, ScopedLists
+from repro.topology import SuperPeerTopology
+from repro.topology.base import MemberFetch, ReElection, ScopedLists, selection_list
 
 from .conftest import make_topical_engine
 
@@ -263,9 +267,10 @@ class TestChurnHooks:
         assert victim in topology.live_members(label)
 
     def test_member_posts_match_a_probe_of_live_members(self):
-        # member_posts scans each term's posters; it must return exactly
-        # what probing every live member in member order returns, before
-        # and after members go down and come back.
+        # member_posts groups each term's posters; its row selections,
+        # copied out, must hold exactly what probing every live member in
+        # member order returns, before and after members go down and come
+        # back.  The rows select from the stored list itself.
         engine = make_superpeer_engine()
         terms = tuple(sorted(engine.directory.stored_terms())) + ("unknown",)
         for term in terms[:-1]:
@@ -294,11 +299,19 @@ class TestChurnHooks:
 
         def check():
             for cluster in topology.clusters:
-                lists, bits = topology.member_posts(cluster.label, terms)
+                selections, bits = topology.member_posts(cluster.label, terms)
+                lists = {
+                    term: selection_list(term, selection)
+                    for term, selection in selections.items()
+                }
                 # PeerList equality ignores row order; compare ordered posts.
                 ordered = {term: list(lists[term]) for term in lists}
                 assert (ordered, bits) == probed(cluster.label)
                 assert bits == sum(pl.size_in_bits for pl in lists.values())
+                for term, (source, _) in selections.items():
+                    stored = engine.directory.stored_list(term)
+                    if stored is not None:
+                        assert source is stored
 
         check()
         downed = [cluster.members[0] for cluster in topology.clusters]
@@ -314,10 +327,11 @@ class TestChurnHooks:
         engine.add_peer("late", late)
         assert engine.directory.stored_list("apple").get("late") is not None
         check()
-        lists, bits = topology.member_posts("no-such-cluster", terms)
-        assert {term: list(pl) for term, pl in lists.items()} == {
-            term: [] for term in terms
-        }
+        selections, bits = topology.member_posts("no-such-cluster", terms)
+        assert {
+            term: list(selection_list(term, selection))
+            for term, selection in selections.items()
+        } == {term: [] for term in terms}
         assert bits == 0
 
 
@@ -417,6 +431,118 @@ class TestAssembleEquivalence:
         assert networked.clusters_ranked == passive.clusters_ranked
         for kind in (MessageKinds.CLUSTER_FETCH, MessageKinds.MEMBER_FETCH):
             assert networked.outcome.cost.bits(kind) == passive.cost.bits(kind)
+
+
+def networked_assembly(executor, query, view, max_peers):
+    """``query``'s assembly driven over simnet, and what it was charged."""
+    cost = CostModel()
+    job = spawn(
+        executor.assemble(
+            query,
+            INITIATOR,
+            cost,
+            initiator=view,
+            conjunctive=False,
+            max_peers=max_peers,
+            successor_fallback=False,
+        )
+    )
+    executor.clock.run()
+    return job.value, cost.snapshot()
+
+
+def ordered_lists(scoped):
+    return {term: list(peer_list) for term, peer_list in scoped.peer_lists.items()}
+
+
+class TestNetworkedAssembly:
+    """One merge serves both drivers; only a networked reply is copied."""
+
+    QUERIES = (
+        Query(0, ("apple", "banana")),
+        Query(1, ("cherry", "citrus", "apple")),
+        Query(2, ("berry", "unknown")),
+    )
+
+    def make_engine(self):
+        engine = make_topical_engine(
+            "bf-512",
+            peers_per_topic=4,
+            topology=SuperPeerTopology(num_clusters=3, seed=0, cluster_budget=2),
+        )
+        engine.topology.ensure_clusters()
+        return engine
+
+    def test_in_process_and_networked_merge_identically(self):
+        engine = self.make_engine()
+        topology = engine.topology
+        for query in self.QUERIES:
+            view = engine.local_view(query, INITIATOR)
+            before = engine.cost.snapshot()
+            passive = topology.assemble(
+                query, requester=INITIATOR, initiator=view, max_peers=4
+            )
+            spent = engine.cost.snapshot() - before
+            networked, cost = networked_assembly(
+                SimNetExecutor(engine), query, view, 4
+            )
+            assert networked.clusters_ranked == passive.clusters_ranked
+            assert ordered_lists(networked) == ordered_lists(passive)
+            assert any(ordered_lists(passive).values())
+            for term, peer_list in passive.peer_lists.items():
+                assert networked.peer_lists[term].size_in_bits == peer_list.size_in_bits
+            for kind in (MessageKinds.CLUSTER_FETCH, MessageKinds.MEMBER_FETCH):
+                assert cost.bits(kind) == spent.bits(kind)
+                assert cost.messages(kind) == spent.messages(kind)
+            assert networked.scope_size == passive.scope_size
+            assert networked.topology_fallbacks == 0
+
+    def test_reply_holds_the_rows_answered_before_a_rewrite(self, monkeypatch):
+        # Between the super-peer's answer and the reply's arrival, churn
+        # rewrites the stored lists: each answered poster is removed
+        # (swap-with-last re-points its row) and re-posted with another
+        # cdf.  The merged lists must still hold the handler-time rows.
+        engine = self.make_engine()
+        topology = engine.topology
+        query = self.QUERIES[1]
+        view = engine.local_view(query, INITIATOR)
+        expected = topology.assemble(
+            query, requester=INITIATOR, initiator=view, max_peers=4
+        )
+        executor = SimNetExecutor(engine)
+        rewritten = []
+        original = topology.answer
+
+        def rewrite(source, peer_id):
+            post = source.get(peer_id)
+            del source.posts[peer_id]
+            source.add(dataclasses.replace(post, cdf=post.cdf + 1000), retain=False)
+            rewritten.append((source.term, peer_id))
+
+        def answer_then_rewrite(requests, node_id=None):
+            replies = original(requests, node_id)
+            for request, (reply, _) in zip(requests, replies):
+                if not isinstance(request, MemberFetch):
+                    continue
+                for source, rows in reply.values():
+                    if len(rows):
+                        peer_id = source.peer_table.name(
+                            int(source.columns.interned_ids()[rows[0]])
+                        )
+                        executor.clock.schedule(
+                            0.0, lambda s=source, p=peer_id: rewrite(s, p)
+                        )
+            return replies
+
+        monkeypatch.setattr(topology, "answer", answer_then_rewrite)
+        networked, _ = networked_assembly(executor, query, view, 4)
+        assert rewritten, "no answered poster was rewritten"
+        for term, peer_id in rewritten:
+            stored = engine.directory.stored_list(term)
+            assert stored.get(peer_id).cdf >= 1000
+            assert stored.get(peer_id) not in list(expected.peer_lists[term])
+        assert networked.clusters_ranked == expected.clusters_ranked
+        assert ordered_lists(networked) == ordered_lists(expected)
 
 
 class TestLatencyProfiles:
