@@ -141,17 +141,16 @@ class DirectoryMaintainer:
     ) -> tuple[int, float, float, int] | None:
         """The stats tuple of the Post currently stored at the term's owner.
 
-        Reads the owner node's store directly (no routing, no cost):
-        this is maintenance bookkeeping, not a directory lookup.
+        Reads the owner node's stored columns directly (no routing, no
+        cost, no Post built): this is maintenance bookkeeping, not a
+        directory lookup.
         """
         ring = self.engine.ring
         stored = ring.owner_of(term).store.get(ring.key_id(term))
         if not isinstance(stored, PeerList):
             return None
-        post = stored.get(peer_id)
-        if post is None:
-            return None
-        return (post.cdf, post.max_score, post.avg_score, post.term_space_size)
+        row = stored.row_of(peer_id)
+        return None if row is None else stored.columns.stats_at(row)
 
     def repost(self, peer_id: str, now_ms: float) -> int:
         """Republish one peer's Posts for every term it has published.
@@ -226,7 +225,7 @@ class DirectoryMaintainer:
                         self._posted_at[key] = now_ms
                         continue
                     if now_ms - stamped > self.config.post_ttl_ms:
-                        del value.posts[peer_id]
+                        value.remove(peer_id)
                         expired.add(key)
         for key in expired:
             self._posted_at.pop(key, None)

@@ -78,7 +78,7 @@ class Directory:
             if peer_list is None:
                 peer_list = PeerList(term=post.term, peer_table=self.peer_table)
                 node.store[key] = peer_list
-            peer_list.add(post, retain=False)
+            peer_list.add(post)
 
     def publish_batch(self, posts: PostBatch | Sequence[Post]) -> int:
         """Publish several Posts, batching per destination node.

@@ -337,8 +337,7 @@ class MinervaEngine:
         removed = 0
         for node_id in self.ring.node_ids:
             for value in self.ring.node(node_id).store.values():
-                if isinstance(value, PeerList) and value.get(peer_id):
-                    del value.posts[peer_id]
+                if isinstance(value, PeerList) and value.remove(peer_id):
                     removed += 1
         return removed
 

@@ -17,15 +17,17 @@ Storage is columnar (:mod:`repro.synopses.columnstore`): a PeerList is a
 thin view over a :class:`~repro.synopses.columnstore.TermColumns` —
 packed metadata arrays plus one matrix of packed synopses — so 10^5-peer
 directories fit in contiguous memory and the routing fast path attaches
-to the stored matrices directly.  ``Post`` objects materialize lazily
-(and are cached) for code that still walks per-peer objects;
-``add(post, retain=True)`` additionally keeps the caller's exact object,
-preserving the historical identity semantics of hand-built lists.
+to the stored matrices directly.  Every write lands in the columns:
+``add(post)`` packs one Post, ``add_batch`` a columnar
+:class:`PostBatch`, ``remove`` drops a peer's row.  ``Post`` objects
+materialize lazily (and are cached) only for readers that walk per-peer
+objects — the naive reference oracle and the experiments; the
+``posts`` mapping view is read-only.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -178,11 +180,13 @@ class PostBatch:
         return len(self.peer_ids)
 
 
-class _PostsView(MutableMapping[str, Post]):
-    """Dict-compatible ``peer_id -> Post`` facade over the columns.
+class _PostsView(Mapping[str, Post]):
+    """Read-only ``peer_id -> Post`` mapping over the columns.
 
-    Keeps the historical ``peer_list.posts`` surface (lookups, ``del``,
-    iteration in row order) while the actual storage stays packed.
+    Keeps the ``peer_list.posts`` read surface (lookups, iteration in
+    row order) while the storage stays packed; writes go through
+    :meth:`PeerList.add`, :meth:`PeerList.add_batch` and
+    :meth:`PeerList.remove`.
     """
 
     __slots__ = ("_owner",)
@@ -195,17 +199,6 @@ class _PostsView(MutableMapping[str, Post]):
         if post is None:
             raise KeyError(peer_id)
         return post
-
-    def __setitem__(self, peer_id: str, post: Post) -> None:
-        if peer_id != post.peer_id:
-            raise ValueError(
-                f"key {peer_id!r} does not match post.peer_id {post.peer_id!r}"
-            )
-        self._owner.add(post)
-
-    def __delitem__(self, peer_id: str) -> None:
-        if not self._owner._remove(peer_id):
-            raise KeyError(peer_id)
 
     def __iter__(self) -> Iterator[str]:
         columns = self._owner.columns
@@ -220,7 +213,7 @@ class _PostsView(MutableMapping[str, Post]):
 class PeerList:
     """All Posts the directory holds for one term, stored columnar."""
 
-    __slots__ = ("term", "_columns", "_retained", "_cache")
+    __slots__ = ("term", "_columns", "_cache")
 
     def __init__(
         self,
@@ -232,8 +225,6 @@ class PeerList:
         self.term = term
         table = peer_table if peer_table is not None else PeerIdTable()
         self._columns = TermColumns(term, table)
-        #: Posts added with ``retain=True`` — exact caller objects.
-        self._retained: dict[str, Post] = {}
         #: Lazily materialized Posts (dropped on overwrite/removal).
         self._cache: dict[str, Post] = {}
         if posts:
@@ -251,14 +242,13 @@ class PeerList:
 
         Each part is ``(source, rows)``; the rows are copied column to
         column (:meth:`TermColumns.from_rows`), so no Post is rebuilt or
-        re-packed.  The result retains no caller objects.
+        re-packed.
         """
         peer_list = cls.__new__(cls)
         peer_list.term = term
         peer_list._columns = TermColumns.from_rows(
             term, table, [(source.columns, rows) for source, rows in parts]
         )
-        peer_list._retained = {}
         peer_list._cache = {}
         return peer_list
 
@@ -280,13 +270,11 @@ class PeerList:
 
     # -- mutation ---------------------------------------------------------
 
-    def add(self, post: Post, *, retain: bool = True) -> None:
+    def add(self, post: Post) -> None:
         """Insert or refresh a peer's Post (re-posting overwrites).
 
-        ``retain=False`` (the directory ingest path) stores only the
-        packed columns; the Post object is released and an equal one is
-        rebuilt on demand.  ``retain=True`` additionally keeps the exact
-        object so ``get`` returns it by identity.
+        Only the packed columns keep it; ``get`` rebuilds an equal Post
+        on demand.
         """
         if post.term != self.term:
             raise ValueError(
@@ -302,16 +290,12 @@ class PeerList:
             post.histogram,
         )
         self._cache.pop(post.peer_id, None)
-        if retain:
-            self._retained[post.peer_id] = post
-        else:
-            self._retained.pop(post.peer_id, None)
 
     def add_batch(self, batch: PostBatch, interned: Sequence[int]) -> None:
         """Insert or refresh every post of ``batch`` (directory ingest).
 
         ``interned`` holds the posters' ids in :attr:`peer_table`.  The
-        result equals ``add(post, retain=False)`` of each post in order
+        result equals ``add(post)`` of each post in order
         (:meth:`TermColumns.upsert_rows`), with no Post built per row.
         """
         stray = [term for term in batch.terms if term != self.term]
@@ -328,34 +312,30 @@ class PeerList:
             batch.synopses,
             batch.histograms,
         )
-        if self._cache or self._retained:
+        if self._cache:
             for peer_id in batch.peer_ids:
                 self._cache.pop(peer_id, None)
-                self._retained.pop(peer_id, None)
 
-    def _remove(self, peer_id: str) -> bool:
+    def remove(self, peer_id: str) -> bool:
+        """Drop ``peer_id``'s Post; False if the list holds none."""
         removed = self._columns.remove(peer_id)
         if removed:
-            self._retained.pop(peer_id, None)
             self._cache.pop(peer_id, None)
         return removed
 
     # -- lookups ----------------------------------------------------------
 
+    def row_of(self, peer_id: str) -> int | None:
+        """The row of :attr:`columns` holding ``peer_id``'s Post, if any."""
+        interned = self._columns.table.lookup(peer_id)
+        return None if interned is None else self._columns.row_for(interned)
+
     def get(self, peer_id: str) -> Post | None:
-        retained = self._retained.get(peer_id)
-        if retained is not None:
-            return retained
         cached = self._cache.get(peer_id)
         if cached is not None:
             return cached
-        interned = self._columns.table.lookup(peer_id)
-        if interned is None:
-            return None
-        row = self._columns.row_for(interned)
-        if row is None:
-            return None
-        return self._materialize(row, peer_id)
+        row = self.row_of(peer_id)
+        return None if row is None else self._materialize(row, peer_id)
 
     def _materialize(self, row: int, peer_id: str) -> Post:
         name, cdf, max_score, avg_score, term_space, synopsis, histogram = (
@@ -376,9 +356,6 @@ class PeerList:
 
     def _post_at(self, row: int) -> Post:
         peer_id = self._columns.table.name(int(self._columns.interned_ids()[row]))
-        retained = self._retained.get(peer_id)
-        if retained is not None:
-            return retained
         cached = self._cache.get(peer_id)
         if cached is not None:
             return cached
@@ -445,14 +422,9 @@ class PeerList:
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:
-        return {
-            "term": self.term,
-            "columns": self._columns,
-            "retained": self._retained,
-        }
+        return {"term": self.term, "columns": self._columns}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.term = state["term"]
         self._columns = state["columns"]
-        self._retained = state["retained"]
         self._cache = {}

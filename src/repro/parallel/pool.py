@@ -10,9 +10,10 @@ plain ``Pool.map`` does not give:
   at any worker count, including the in-process serial path
   (``workers <= 1``), which runs the exact same entrypoint protocol
   without spawning anything.
-- **One pickle per worker, not per task** — heavyweight shared state (a
-  built testbed, an engine) is written to disk once and each worker
-  unpickles it in its initializer; tasks then reference it through
+- **No pickle per task** — heavyweight shared state (a built testbed,
+  an engine) reaches each worker once: a fork-started worker inherits
+  the parent's object, a spawn-started one unpickles the artifact at
+  ``setup_path`` in its initializer.  Tasks then reference it through
   :func:`current_setup` and stay small.
 - **Failure surfacing** — a task exception is re-raised in the parent as
   :class:`TaskFailureError` carrying the worker traceback and the task's
@@ -43,13 +44,13 @@ __all__ = [
     "TaskTimeoutError",
     "WorkerCrashError",
     "current_setup",
+    "inherits_setup",
 ]
 
-#: The per-process shared setup object, populated by the worker
-#: initializer (pooled mode) or directly by the pool (serial mode), and
-#: the artifact path it corresponds to (fork-inheritance handshake).
+#: The per-process shared setup object: set by the pool itself (serial
+#: mode, and in the parent while fork-started workers inherit it) or by
+#: the worker initializer (spawn-started workers).
 _WORKER_SETUP: Any = None
-_WORKER_SETUP_TOKEN: str | None = None
 
 
 def current_setup() -> Any:
@@ -57,15 +58,21 @@ def current_setup() -> Any:
     return _WORKER_SETUP
 
 
+def inherits_setup(
+    mp_context: multiprocessing.context.BaseContext | None = None,
+) -> bool:
+    """Whether pooled workers started under ``mp_context`` (``None``:
+    the pool's default) inherit the parent's setup object by fork, so
+    no setup artifact needs writing for them."""
+    context = mp_context or _default_context()
+    return context.get_start_method() == "fork"
+
+
 def _initialize_worker(setup_path: str) -> None:
-    """Worker initializer: adopt the fork-inherited setup when its token
-    matches, otherwise unpickle the artifact exactly once."""
-    global _WORKER_SETUP, _WORKER_SETUP_TOKEN
-    if _WORKER_SETUP_TOKEN == setup_path:
-        return  # inherited the parent's in-memory setup via fork
+    """Worker initializer: unpickle the setup artifact exactly once."""
+    global _WORKER_SETUP
     with open(setup_path, "rb") as handle:
         _WORKER_SETUP = pickle.load(handle)
-    _WORKER_SETUP_TOKEN = setup_path
 
 
 class TaskFailureError(RuntimeError):
@@ -175,28 +182,24 @@ class TaskPool:
         context = self._mp_context or _default_context()
         initializer = None
         initargs: tuple[str, ...] = ()
-        if self._setup_path is not None:
+        inherit = self._setup is not None and inherits_setup(context)
+        if self._setup_path is not None and not inherit:
             initializer = _initialize_worker
             initargs = (self._setup_path,)
-        elif self._setup is not None:
+        elif self._setup is not None and not inherit:
             raise ValueError(
-                "pooled execution with a shared setup requires setup_path "
-                "(one pickle per worker); pass the spill path, not the object"
+                f"pooled execution with a shared setup under the "
+                f"{context.get_start_method()!r} start method requires "
+                "setup_path (one pickle per worker); pass the spill path"
             )
         num_workers = min(self.workers, len(packed))
-        global _WORKER_SETUP, _WORKER_SETUP_TOKEN
-        previous = (_WORKER_SETUP, _WORKER_SETUP_TOKEN)
-        if (
-            self._setup is not None
-            and self._setup_path is not None
-            and context.get_start_method() == "fork"
-        ):
-            # Workers forked while these globals are set inherit the
-            # parent's built setup directly — zero unpickles; the token
-            # lets the initializer detect (and trust) the inheritance.
-            # Workers started later (e.g. pool repair) miss the window
-            # and fall back to loading the artifact from disk.
-            _WORKER_SETUP, _WORKER_SETUP_TOKEN = self._setup, self._setup_path
+        global _WORKER_SETUP
+        previous = _WORKER_SETUP
+        if inherit:
+            # Every worker of this executor is forked while the global
+            # is set, so each inherits the parent's built setup: no
+            # pickle is written or read.
+            _WORKER_SETUP = self._setup
         executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=num_workers,
             mp_context=context,
@@ -238,7 +241,7 @@ class TaskPool:
             return results
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
-            _WORKER_SETUP, _WORKER_SETUP_TOKEN = previous
+            _WORKER_SETUP = previous
 
     # -- helpers -----------------------------------------------------------
 

@@ -28,13 +28,14 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .cache import SetupCache
-from .pool import TaskPool
+from .pool import TaskPool, inherits_setup
 
 __all__ = ["ExperimentRunner", "SetupHandle"]
 
 
 class SetupHandle(NamedTuple):
-    """A built setup plus the artifact path pool workers attach to."""
+    """A built setup plus the artifact path spawn-started pool workers
+    load it from (``None`` when no worker needs one)."""
 
     value: Any
     path: Path | None
@@ -72,11 +73,15 @@ class ExperimentRunner:
         value, path = self.cache.get_or_build(kind, parts, builder)
         return SetupHandle(value=value, path=path)
 
+    def _spills(self) -> bool:
+        """Whether workers load a setup from a spill pickle: only pooled
+        spawn-started ones do; fork-started ones inherit the object."""
+        return self.workers > 1 and not inherits_setup(self._mp_context)
+
     def attach(self, kind: str, value: Any) -> SetupHandle:
         """Wrap an already-built object so pooled workers can load it."""
-        if self.workers <= 1:
-            return SetupHandle(value=value, path=None)
-        return SetupHandle(value=value, path=self.cache.spill(kind, value))
+        path = self.cache.spill(kind, value) if self._spills() else None
+        return SetupHandle(value=value, path=path)
 
     # -- fan-out -----------------------------------------------------------
 
@@ -97,10 +102,11 @@ class ExperimentRunner:
         callers that serialize whole aggregates should intern such
         references first (see ``measure_load``).
 
-        A pooled map over a setup without an artifact path (no cache
-        directory) spills it once so workers can attach to it.
+        Fork-started workers inherit the setup object.  A map whose
+        workers start by spawn, over a setup without an artifact path
+        (no cache directory), spills it once so they can load it.
         """
-        if self.workers > 1 and setup is not None and setup.path is None:
+        if setup is not None and setup.path is None and self._spills():
             setup = SetupHandle(
                 value=setup.value,
                 path=self.cache.spill("adhoc-setup", setup.value),

@@ -389,6 +389,7 @@ class ServingFrontend:
             context, scoped, self.selector, self.max_peers + self.fallback_spares
         ).selected
         failed_terms = scoped.failed_terms
+        peer_lists = [scoped.peer_lists[term] for term in query.terms]
         bounds: dict[str, float] = {}
         for peer_id in ranked:
             if failed_terms:
@@ -396,9 +397,12 @@ class ServingFrontend:
                 # estimates, so disable early termination outright.
                 bounds[peer_id] = float("inf")
                 continue
-            posts = (scoped.peer_lists[term].get(peer_id) for term in query.terms)
+            # Each term's advertised max-score, read from the columns.
+            rows = ((peer_list, peer_list.row_of(peer_id)) for peer_list in peer_lists)
             bounds[peer_id] = synopsis_upper_bound(
-                post.max_score for post in posts if post is not None
+                float(peer_list.columns.max_scores()[row])
+                for peer_list, row in rows
+                if row is not None
             )
         plan = CachedPlan(
             ranked=ranked,

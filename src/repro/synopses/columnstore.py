@@ -240,10 +240,6 @@ class SynopsisColumn:
         """A column holding copies of the given rows, in that order."""
         return self.holding(self._matrix[rows])
 
-    def set_packed_row(self, row: int, values: np.ndarray) -> None:
-        """Store one already-packed row (cluster-synopsis merging)."""
-        self._matrix[row] = values
-
     def fresh(self, capacity: int) -> "SynopsisColumn":
         """A new empty column with this column's family and parameters.
 
@@ -858,12 +854,19 @@ class TermColumns:
         interned = int(self._peer_ids[row])
         return (
             self._table.name(interned),
+            *self.stats_at(row),
+            self.synopsis_at(row),
+            self._histograms.get(interned),
+        )
+
+    def stats_at(self, row: int) -> tuple[int, float, float, int]:
+        """``(cdf, max_score, avg_score, term_space_size)`` at ``row``,
+        as Python numbers."""
+        return (
             int(self._cdf[row]),
             float(self._max_score[row]),
             float(self._avg_score[row]),
             int(self._term_space[row]),
-            self.synopsis_at(row),
-            self._histograms.get(interned),
         )
 
     def synopsis_bits(self, rows: np.ndarray | None = None) -> int:

@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..parallel.seeding import derive_seed
-from ..synopses.base import SetSynopsis
 from ..synopses.bloom import row_popcounts
 from ..synopses.columnstore import (
     LogLogColumn,
@@ -49,7 +48,6 @@ __all__ = [
     "cluster_peers",
     "elect_super_peer",
     "group_fold_synopses",
-    "materialize_rows",
 ]
 
 
@@ -213,13 +211,3 @@ def group_fold_synopses(
     merged = column.neutral_matrix(num_groups)
     _fold_ufunc(column).at(merged, groups, rows)
     return merged
-
-
-def materialize_rows(
-    column: SynopsisColumn, matrix: np.ndarray
-) -> list[SetSynopsis]:
-    """Packed rows back to synopsis objects (for cluster-list Posts)."""
-    scratch = column.fresh(max(1, len(matrix)))
-    for row, values in enumerate(matrix):
-        scratch.set_packed_row(row, values)
-    return [scratch.materialize(row) for row in range(len(matrix))]

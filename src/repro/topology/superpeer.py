@@ -3,12 +3,15 @@
 Peers are grouped by synopsis similarity (:mod:`.clustering`), each
 cluster elects the highest-capacity member as its super-peer, and the
 super-peers jointly hold a *cluster directory*: per term, one merged
-Post per cluster — ``cdf`` summed, scores aggregated, synopsis =
-union-fold of the members' synopses computed on the packed column
-matrices — stored in :class:`~repro.minerva.posts.PeerList`\\ s backed
-by the columnar :class:`~repro.synopses.columnstore.TermColumns` store
-on a private cluster-id table, so cluster ranking itself runs on the
-columnar fast path.
+entry per cluster — ``cdf`` summed, scores aggregated, synopsis =
+union-fold of the members' synopses — stored in
+:class:`~repro.minerva.posts.PeerList`\\ s backed by the columnar
+:class:`~repro.synopses.columnstore.TermColumns` store on a private
+cluster-id table, so cluster ranking itself runs on the columnar fast
+path.  One function folds the stored rows into these entries on the
+packed columns (:func:`_fold_cluster_entries`), with no Post built:
+the build folds every row of a term at once, the churn hooks refold
+one cluster's live rows.
 
 Query assembly is two-phase IQN under a split budget:
 
@@ -31,24 +34,27 @@ entries, which is where the messages-per-query win at large peer
 counts comes from (``experiments/hierarchy.py``).
 
 Churn: :meth:`SuperPeerTopology.handle_peer_down` marks the peer dead,
-rebuilds its cluster's merged posts from live members, and — when the
-dead peer was the super — deterministically re-elects (same capacity
-rule over the survivors).  :class:`~repro.churn.service.ChurnService`
-surfaces that as a ``reelect`` :class:`DirectoryEvent` so serving plan
-caches can invalidate exactly the affected cluster.
+refolds its cluster's entry of every cluster-list term from the live
+members' stored rows, in stored-row order — so the entries equal a fresh
+build's — and, when the dead peer was the super, deterministically
+re-elects (same capacity rule over the survivors).
+:class:`~repro.churn.service.ChurnService` surfaces that as a
+``reelect`` :class:`DirectoryEvent` so serving plan caches can
+invalidate exactly the affected cluster.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from ..datasets.queries import Query
-from ..minerva.posts import PeerList, Post
+from ..minerva.posts import PeerList, PostBatch
 from ..routing.base import LocalView, PeerSelector, RoutingContext, SeedSynopses
-from ..synopses.columnstore import PeerIdTable, TermColumns
+from ..synopses.columnstore import PeerIdTable, SynopsisColumn, TermColumns
 from .base import (
     Assembly,
     ClusterFetch,
@@ -58,7 +64,6 @@ from .base import (
     RoutingTopology,
     RowSelection,
     ScopedLists,
-    selection_list,
 )
 from .clustering import (
     Cluster,
@@ -66,7 +71,6 @@ from .clustering import (
     default_num_clusters,
     elect_super_peer,
     group_fold_synopses,
-    materialize_rows,
     peer_capacities,
     peer_profiles,
 )
@@ -85,6 +89,72 @@ DEFAULT_CLUSTER_BUDGET = 3
 _GroupedRows = tuple[PeerList, np.ndarray, list[int]]
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+def _fold_cluster_entries(
+    cluster_list: PeerList,
+    stored: TermColumns,
+    rows: np.ndarray,
+    groups: np.ndarray,
+    labels: Sequence[str],
+) -> None:
+    """Fold ``stored``'s ``rows`` into one entry per cluster.
+
+    Row ``rows[i]`` belongs to cluster ``labels[groups[i]]``.  Each
+    cluster with a row gets one entry in ``cluster_list``: ``cdf`` and
+    ``term_space_size`` summed, the highest ``max_score``, the
+    ``cdf``-weighted mean ``avg_score`` (added in row order), and the
+    union of the rows' packed synopses (none when no row has one).  The
+    entries are written with one :meth:`PeerList.add_batch`, in cluster
+    index order; no Post is built.  The build and the churn refold
+    both call this, so a refold equals a fresh build bit for bit.
+    """
+    num_groups = len(labels)
+    cdf_values = stored.cdf_values()[rows]
+    counts = np.bincount(groups, minlength=num_groups)
+    cdf = np.bincount(groups, weights=cdf_values, minlength=num_groups)
+    max_scores = np.zeros(num_groups, dtype=np.float64)
+    np.maximum.at(max_scores, groups, stored.max_scores()[rows])
+    weighted_avg = np.bincount(
+        groups, weights=stored.avg_scores()[rows] * cdf_values, minlength=num_groups
+    )
+    term_space = np.bincount(
+        groups, weights=stored.term_space_values()[rows], minlength=num_groups
+    )
+    present = np.flatnonzero(counts)
+    avg_scores = np.zeros(num_groups, dtype=np.float64)
+    np.divide(weighted_avg, cdf, out=avg_scores, where=cdf > 0)
+    flags = stored.synopsis_flags()[rows]
+    column = stored.synopsis_column
+    synopses: SynopsisColumn | list[None] = [None] * len(present)
+    if column is not None and flags.any():
+        merged = group_fold_synopses(
+            column, column.rows(len(stored))[rows[flags]], groups[flags], num_groups
+        )
+        synopses = column.holding(merged[present])
+    names = [labels[group] for group in present.tolist()]
+    batch = PostBatch(
+        peer_ids=names,
+        terms=[cluster_list.term] * len(names),
+        cdf=cdf[present].astype(np.int64),
+        max_score=max_scores[present],
+        avg_score=avg_scores[present],
+        term_space_size=term_space[present].astype(np.int64),
+        synopses=synopses,
+    )
+    table = cluster_list.peer_table
+    interned = [table.intern(name) for name in names]
+    cluster_list.add_batch(batch, interned)
+    if isinstance(synopses, SynopsisColumn):
+        with_synopsis = np.bincount(groups[flags], minlength=num_groups)[present]
+        bare = np.flatnonzero(with_synopsis == 0).tolist()
+        if bare:
+            # A cluster none of whose rows has a synopsis stays without
+            # one; its entry is rewritten in place, keeping row order.
+            cleared = dataclasses.replace(
+                batch.select(bare), synopses=[None] * len(bare)
+            )
+            cluster_list.add_batch(cleared, [interned[index] for index in bare])
 
 
 class SuperPeerTopology(RoutingTopology):
@@ -322,108 +392,44 @@ class SuperPeerTopology(RoutingTopology):
         assignment: np.ndarray,
         labels: list[str],
     ) -> None:
-        """One merged Post per (term, cluster), packed-column fold."""
-        num_groups = len(labels)
+        """One merged entry per (term, cluster): every stored row folds
+        into its cluster's entry."""
         self._cluster_table = PeerIdTable()
         self._cluster_lists = {}
         for term, tc in term_columns:
-            groups = assignment[tc.interned_ids()]
-            counts = np.bincount(groups, minlength=num_groups)
-            cdf = np.bincount(
-                groups, weights=tc.cdf_values(), minlength=num_groups
-            )
-            max_scores = np.zeros(num_groups, dtype=np.float64)
-            np.maximum.at(max_scores, groups, tc.max_scores())
-            weighted_avg = np.bincount(
-                groups,
-                weights=tc.avg_scores() * tc.cdf_values(),
-                minlength=num_groups,
-            )
-            term_space = np.bincount(
-                groups, weights=tc.term_space_values(), minlength=num_groups
-            )
-            column = tc.synopsis_column
-            mask = tc.synopsis_flags()
-            synopses = None
-            synopsis_counts = np.zeros(num_groups, dtype=np.int64)
-            if column is not None and mask.any():
-                merged = group_fold_synopses(
-                    column,
-                    column.rows(len(tc))[mask],
-                    groups[mask],
-                    num_groups,
-                )
-                synopses = materialize_rows(column, merged)
-                synopsis_counts = np.bincount(
-                    groups[mask], minlength=num_groups
-                )
             peer_list = PeerList(term=term, peer_table=self._cluster_table)
-            for group in range(num_groups):
-                if counts[group] == 0:
-                    continue
-                total_cdf = int(cdf[group])
-                peer_list.add(
-                    Post(
-                        peer_id=labels[group],
-                        term=term,
-                        cdf=total_cdf,
-                        max_score=float(max_scores[group]),
-                        avg_score=(
-                            float(weighted_avg[group] / cdf[group])
-                            if cdf[group] > 0
-                            else 0.0
-                        ),
-                        term_space_size=int(term_space[group]),
-                        synopsis=(
-                            synopses[group]
-                            if synopses is not None and synopsis_counts[group]
-                            else None
-                        ),
-                    ),
-                    retain=False,
-                )
+            _fold_cluster_entries(
+                peer_list,
+                tc,
+                np.arange(len(tc)),
+                assignment[tc.interned_ids()],
+                labels,
+            )
             self._cluster_lists[term] = peer_list
 
-    def _rebuild_cluster_entry(self, label: str) -> tuple[str, ...]:
-        """Recompute one cluster's merged posts from live members.
-
-        Object-level union over the handful of posts one cluster holds —
-        the packed group-fold is for the full build, this is the churn
-        repair path.  Returns the touched terms, sorted.
-        """
-        selections, _ = self.member_posts(
-            label, tuple(sorted(self._cluster_lists))
-        )
+    def _refold_cluster(self, label: str) -> tuple[str, ...]:
+        """Refold ``label``'s entry of every cluster-list term from its
+        live members' stored rows, as a fresh build would; an entry left
+        with no live poster is removed.  Returns the touched terms,
+        sorted."""
+        index = self._cluster_index[label]
+        directory = self.host.directory
+        live_cluster = self._live_clusters(len(directory.peer_table))
         touched: list[str] = []
-        for term, selection in selections.items():
-            posts = list(selection_list(term, selection))
+        for term in sorted(self._cluster_lists):
             peer_list = self._cluster_lists[term]
-            had = peer_list.get(label) is not None
-            if not posts:
-                if had:
-                    del peer_list.posts[label]
-                    touched.append(term)
+            stored = directory.stored_list(term)
+            rows = _NO_ROWS
+            if stored is not None:
+                clusters = live_cluster[stored.columns.interned_ids()]
+                rows = np.flatnonzero(clusters == index)
+            if len(rows):
+                assert stored is not None
+                _fold_cluster_entries(
+                    peer_list, stored.columns, rows, np.zeros_like(rows), [label]
+                )
+            elif not peer_list.remove(label):
                 continue
-            synopsis = None
-            with_synopsis = [p.synopsis for p in posts if p.synopsis is not None]
-            if with_synopsis:
-                synopsis = with_synopsis[0]
-                for other in with_synopsis[1:]:
-                    synopsis = synopsis.union(other)
-            total_cdf = sum(post.cdf for post in posts)
-            weighted = sum(post.avg_score * post.cdf for post in posts)
-            peer_list.add(
-                Post(
-                    peer_id=label,
-                    term=term,
-                    cdf=total_cdf,
-                    max_score=max(post.max_score for post in posts),
-                    avg_score=(weighted / total_cdf) if total_cdf else 0.0,
-                    term_space_size=sum(post.term_space_size for post in posts),
-                    synopsis=synopsis,
-                ),
-                retain=False,
-            )
             touched.append(term)
         return tuple(touched)
 
@@ -520,6 +526,19 @@ class SuperPeerTopology(RoutingTopology):
             bits += source.rows_size_in_bits(rows)
         return out, bits
 
+    def _live_clusters(self, table_size: int) -> np.ndarray:
+        """:attr:`_live_cluster` covering ``table_size`` interned ids;
+        peers interned after the build belong to no cluster."""
+        if len(self._live_cluster) < table_size:
+            padding = table_size - len(self._live_cluster)
+            self._live_cluster = np.concatenate(
+                [self._live_cluster, np.full(padding, -1, dtype=np.int64)]
+            )
+            self._member_rank = np.concatenate(
+                [self._member_rank, np.zeros(padding, dtype=np.int64)]
+            )
+        return self._live_cluster
+
     def _grouped_rows(self, term: str) -> _GroupedRows | None:
         """``term``'s stored list, its live clustered rows sorted by
         (cluster, member rank), and each cluster index's start in them
@@ -528,17 +547,8 @@ class SuperPeerTopology(RoutingTopology):
         if source is None:
             return None
         table_size = len(source.peer_table)
-        if len(self._live_cluster) < table_size:
-            # Peers interned after the build belong to no cluster.
-            padding = table_size - len(self._live_cluster)
-            self._live_cluster = np.concatenate(
-                [self._live_cluster, np.full(padding, -1, dtype=np.int64)]
-            )
-            self._member_rank = np.concatenate(
-                [self._member_rank, np.zeros(padding, dtype=np.int64)]
-            )
         ids = source.columns.interned_ids()
-        clusters = self._live_cluster[ids]
+        clusters = self._live_clusters(table_size)[ids]
         # Down or unclustered rows (cluster -1) sort first and fall
         # before every cluster's start.
         order = np.argsort(
@@ -637,7 +647,7 @@ class SuperPeerTopology(RoutingTopology):
         if label is None or peer_id in self._down:
             return None
         self._set_liveness(peer_id, label, live=False)
-        terms = self._rebuild_cluster_entry(label)
+        terms = self._refold_cluster(label)
         if self._super_of.get(label) != peer_id:
             return None
         live = self.live_members(label)
@@ -668,7 +678,7 @@ class SuperPeerTopology(RoutingTopology):
             return
         label = self._cluster_of[peer_id]  # only clustered peers go down
         self._set_liveness(peer_id, label, live=True)
-        self._rebuild_cluster_entry(label)
+        self._refold_cluster(label)
 
     # -- simnet latency --------------------------------------------------
 

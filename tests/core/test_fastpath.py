@@ -10,6 +10,7 @@ transparently.
 """
 
 import builtins
+import dataclasses
 import math
 import random
 
@@ -34,7 +35,7 @@ from repro.core.histogram_routing import HistogramAggregation
 from repro.core.iqn import IQNRouter
 from repro.core.stopping import AnyOf, CoverageTarget, MaxPeers, MinimumNoveltyGain
 from repro.datasets.queries import Query
-from repro.minerva.posts import PeerList, Post
+from repro.minerva.posts import PeerList, Post, PostBatch
 from repro.routing.base import LocalView, RoutingContext
 from repro.synopses.bloom import (
     BloomFilter,
@@ -42,7 +43,7 @@ from repro.synopses.bloom import (
     cardinality_from_popcount,
     pack_bit_row,
 )
-from repro.synopses.columnstore import PeerIdTable
+from repro.synopses.columnstore import PeerIdTable, column_for
 from repro.synopses.factory import SynopsisSpec
 from repro.synopses.mips import (
     MinWisePermutations,
@@ -53,10 +54,10 @@ from repro.synopses.mips import (
 SPEC_LABELS = ("mips-32", "bf-1024", "hs-16", "ll-64")
 AGGREGATIONS = (PerPeerAggregation, PerTermAggregation)
 AGGREGATION_IDS = ("peer", "term")
-#: How the posts are stored: "obj" keeps the caller's Post objects, so
-#: the oracle scores the synopses as built; "col" keeps only the packed
-#: columns, so the oracle scores synopses decoded from them.  The
-#: kernels read the columns either way.
+#: How the posts reach the columns: "obj" adds each Post object (its
+#: synopsis packed on the way in); "col" adds each term's posts as one
+#: ``PostBatch`` whose synopses are already packed.  Both store the same
+#: rows, which the kernels read and the oracle decodes back to objects.
 STORE_IDS = ("obj", "col")
 TERMS = ("apple", "pear")
 
@@ -91,7 +92,7 @@ def make_context(
     num_peers=30,
     universe=2500,
     terms=TERMS,
-    retain=True,
+    batched=False,
 ):
     """A synthetic directory snapshot with clustered, overlapping peers.
 
@@ -100,13 +101,14 @@ def make_context(
     reference-synopsis discount actually reorders the plan and any
     divergence between the two implementations would surface.  The
     lists share one interned peer table, as a directory's do, so the
-    kernels attach to the packed columns; ``retain`` is passed to
-    ``PeerList.add`` (see ``STORE_IDS``).
+    kernels attach to the packed columns; ``batched`` picks the write
+    path (see ``STORE_IDS``).
     """
     rng = random.Random(seed)
     spec = SynopsisSpec.parse(spec_label)
     table = PeerIdTable()
     peer_lists = {term: PeerList(term=term, peer_table=table) for term in terms}
+    posts_by_term = {term: [] for term in terms}
     for i in range(num_peers):
         peer_id = f"p{i:03d}"
         base = rng.randrange(0, universe)
@@ -122,7 +124,8 @@ def make_context(
                 term_ids = {d for d in doc_ids if rng.random() < 0.7}
                 if not term_ids:
                     continue
-                peer_lists[term].add(
+                table.intern(peer_id)
+                posts_by_term[term].append(
                     Post(
                         peer_id=peer_id,
                         term=term,
@@ -131,9 +134,16 @@ def make_context(
                         avg_score=rng.random() / 2,
                         term_space_size=rng.randrange(50, 400),
                         synopsis=spec.build(term_ids),
-                    ),
-                    retain=retain,
+                    )
                 )
+    for term, posts in posts_by_term.items():
+        if batched:
+            peer_lists[term].add_batch(
+                packed_batch(posts), [table.lookup(post.peer_id) for post in posts]
+            )
+        else:
+            for post in posts:
+                peer_lists[term].add(post)
     seed_ids = frozenset(rng.randrange(0, universe) for _ in range(80))
     initiator = LocalView(
         peer_id="me",
@@ -151,6 +161,14 @@ def make_context(
         initiator=initiator,
         conjunctive=conjunctive,
     )
+
+
+def packed_batch(posts):
+    """``posts`` as one ``PostBatch`` with its synopses packed."""
+    column = column_for(posts[0].synopsis, capacity=len(posts))
+    for row, post in enumerate(posts):
+        column.set_row(row, post.synopsis)
+    return dataclasses.replace(PostBatch.from_posts(posts), synopses=column)
 
 
 def plan_rows(selections):
@@ -336,11 +354,11 @@ class TestRoutingStats:
         assert router.last_stats.mode == "empty"
         assert router.last_stats.candidates == 0
 
-    @pytest.mark.parametrize("retain", (True, False), ids=STORE_IDS)
+    @pytest.mark.parametrize("batched", (False, True), ids=STORE_IDS)
     @pytest.mark.parametrize("aggregation_cls", AGGREGATIONS, ids=AGGREGATION_IDS)
     @pytest.mark.parametrize("spec_label", SPEC_LABELS)
     def test_evals_within_naive_plus_rounds(
-        self, spec_label, aggregation_cls, retain
+        self, spec_label, aggregation_cls, batched
     ):
         # The driver scores every candidate once, then re-evaluates only
         # rows the last absorb touched, plus one absorb-time recompute
@@ -350,7 +368,7 @@ class TestRoutingStats:
             spec_label=spec_label,
             num_peers=80,
             universe=8000,
-            retain=retain,
+            batched=batched,
         )
         naive = IQNRouter(aggregation_cls(), fast_path=False)
         fast = IQNRouter(aggregation_cls())
@@ -393,12 +411,12 @@ class TestRoutingStats:
 class TestBloomTier:
     """Bloom runs on the shared exact-invalidation driver."""
 
-    @pytest.mark.parametrize("retain", (True, False), ids=STORE_IDS)
+    @pytest.mark.parametrize("batched", (False, True), ids=STORE_IDS)
     @pytest.mark.parametrize("aggregation_cls", AGGREGATIONS, ids=AGGREGATION_IDS)
     @pytest.mark.parametrize("conjunctive", (False, True), ids=["disj", "conj"])
     @pytest.mark.parametrize("seed", (11, 12))
     def test_plans_bit_identical_to_naive(
-        self, seed, conjunctive, aggregation_cls, retain
+        self, seed, conjunctive, aggregation_cls, batched
     ):
         args = dict(
             seed=seed,
@@ -406,7 +424,7 @@ class TestBloomTier:
             conjunctive=conjunctive,
             num_peers=60,
             terms=("apple", "pear", "plum"),
-            retain=retain,
+            batched=batched,
         )
         naive = IQNRouter(aggregation_cls(), fast_path=False)
         fast = IQNRouter(aggregation_cls())

@@ -2,9 +2,9 @@
 
 The oracle is a test-local copy of the historical ``publish_batch``:
 look every post up, charge routing once per destination node, charge
-each node's payload, then ``PeerList.add(post, retain=False)`` one post
-at a time.  The columnar path must leave the same pickled store on
-every node, the same peer-table order and the same cost snapshot — for
+each node's payload, then ``PeerList.add(post)`` one post at a time.
+The columnar path must leave the same pickled store on every node, the
+same peer-table order and the same cost snapshot — for
 hand-built Post lists and for ``ScaledTestbed`` construction, whose
 synopses come out of the batched builders already packed.
 """
@@ -52,7 +52,7 @@ def oracle_publish_batch(directory, posts):
                 if peer_list is None:
                     peer_list = PeerList(term=post.term, peer_table=directory.peer_table)
                     node.store[key] = peer_list
-                peer_list.add(post, retain=False)
+                peer_list.add(post)
     return messages
 
 

@@ -54,7 +54,7 @@ class TestPeerList:
         peer_list = PeerList(term="apple")
         post = make_post()
         peer_list.add(post)
-        assert peer_list.get("p1") is post
+        assert peer_list.get("p1") == post
         assert peer_list.get("p2") is None
 
     def test_repost_overwrites(self):
@@ -99,3 +99,51 @@ class TestPeerList:
         peer_list = PeerList(term="apple")
         peer_list.add(make_post(peer_id="a"))
         assert [p.peer_id for p in peer_list] == ["a"]
+
+    def test_posts_view_is_read_only(self):
+        peer_list = PeerList(term="apple")
+        peer_list.add(make_post(peer_id="a"))
+        assert "a" in peer_list.posts and "b" not in peer_list.posts
+        with pytest.raises(TypeError):
+            del peer_list.posts["a"]
+        with pytest.raises(TypeError):
+            peer_list.posts["b"] = make_post(peer_id="b")
+
+
+class TestRemove:
+    def test_remove_drops_the_post(self):
+        peer_list = PeerList(term="apple")
+        peer_list.add(make_post(peer_id="a"))
+        peer_list.add(make_post(peer_id="b"))
+        assert peer_list.get("a") is not None  # cached materialization
+        assert peer_list.remove("a") is True
+        assert peer_list.get("a") is None
+        assert peer_list.row_of("a") is None
+        assert [post.peer_id for post in peer_list] == ["b"]
+        assert peer_list.size_in_bits == make_post().size_in_bits
+
+    def test_remove_absent_is_false(self):
+        peer_list = PeerList(term="apple")
+        peer_list.add(make_post(peer_id="a"))
+        assert peer_list.remove("never-posted") is False
+        assert peer_list.remove("a") is True
+        assert peer_list.remove("a") is False
+        assert len(peer_list) == 0
+
+    def test_remove_unknown_to_a_shared_table(self):
+        # "b" is interned by another term's list but never posted here.
+        first = PeerList(term="apple")
+        other = PeerList(term="pear", peer_table=first.peer_table)
+        other.add(make_post(peer_id="b", term="pear"))
+        first.add(make_post(peer_id="a"))
+        assert first.remove("b") is False
+        assert first.peer_ids == {"a"}
+
+    def test_readd_after_remove_appends(self):
+        peer_list = PeerList(term="apple")
+        for peer_id in ("a", "b", "c"):
+            peer_list.add(make_post(peer_id=peer_id))
+        peer_list.remove("a")  # the last row swaps into the hole
+        peer_list.add(make_post(peer_id="a", cdf=4))
+        assert list(peer_list.posts) == ["c", "b", "a"]
+        assert peer_list.get("a").cdf == 4

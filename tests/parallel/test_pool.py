@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import random
@@ -102,9 +103,42 @@ class TestSetupAttachment:
         assert pool.map(setup_reader_task, [7]) == [("inherited", 7)]
 
     def test_pooled_setup_object_without_path_is_rejected(self):
-        pool = TaskPool(2, setup={"name": "no-path"})
+        # Spawn-started workers can only load the setup from an artifact.
+        pool = TaskPool(
+            2,
+            setup={"name": "no-path"},
+            mp_context=multiprocessing.get_context("spawn"),
+        )
         with pytest.raises(ValueError, match="setup_path"):
             pool.map(setup_reader_task, [0])
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_fork_inherits_setup_without_path(self):
+        pool = TaskPool(
+            2,
+            setup={"name": "forked"},
+            mp_context=multiprocessing.get_context("fork"),
+        )
+        assert pool.map(setup_reader_task, [0, 1]) == [
+            ("forked", 0),
+            ("forked", 1),
+        ]
+        assert current_setup() is None
+
+    def test_spawn_loads_setup_from_artifact(self, tmp_path):
+        path = tmp_path / "setup.pkl"
+        setup = {"name": "spawned"}
+        path.write_bytes(pickle.dumps(setup))
+        pool = TaskPool(
+            2,
+            setup=setup,
+            setup_path=path,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+        assert pool.map(setup_reader_task, [3]) == [("spawned", 3)]
 
     def test_serial_restores_previous_setup(self):
         TaskPool(1, setup={"name": "scoped"}).map(setup_reader_task, [0])

@@ -3,6 +3,10 @@ with or without a cache directory."""
 
 from __future__ import annotations
 
+import multiprocessing
+
+import pytest
+
 from repro.parallel import ExperimentRunner, current_setup, derive_seed
 
 
@@ -37,3 +41,42 @@ class TestResultIdentity:
         serial, pooled = results
         assert pooled == serial
         assert serial == [("bed", task, seed) for task, seed in EXPECTED]
+
+
+def spilled(cache_dir):
+    return sorted(path.name for path in cache_dir.rglob("*") if path.is_file())
+
+
+class TestSetupSpill:
+    """Only spawn-started workers read a setup artifact, so only they
+    get a spill pickle."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_fork_writes_no_spill(self, tmp_path):
+        runner = ExperimentRunner(
+            workers=2,
+            cache_dir=tmp_path,
+            mp_context=multiprocessing.get_context("fork"),
+        )
+        handle = runner.attach("bed", {"name": "bed"})
+        assert handle.path is None
+        assert runner.map(setup_seed_task, TASKS, setup=handle) == [
+            ("bed", task, seed) for task, seed in EXPECTED
+        ]
+        assert spilled(tmp_path) == []
+
+    def test_spawn_spills_once_and_matches_serial(self, tmp_path):
+        runner = ExperimentRunner(
+            workers=2,
+            cache_dir=tmp_path,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+        handle = runner.attach("bed", {"name": "bed"})
+        assert handle.path is not None and handle.path.exists()
+        assert runner.map(setup_seed_task, TASKS, setup=handle) == [
+            ("bed", task, seed) for task, seed in EXPECTED
+        ]
+        assert spilled(tmp_path) == [handle.path.name]

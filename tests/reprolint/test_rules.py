@@ -600,7 +600,8 @@ class TestChurnOnVirtualClock:
 
 
 class TestColumnarStaysPacked:
-    """RPRL008 — scope repro/synopses/columnstore + repro/core/fastpath."""
+    """RPRL008 — scope repro/synopses/columnstore, repro/core/fastpath and
+    repro/topology/superpeer."""
 
     def test_object_dtype_keyword_fires(self):
         source = """
@@ -702,6 +703,20 @@ class TestColumnarStaysPacked:
         assert ids(
             lint(source, "src/repro/core/fastpath.py", only="RPRL008")
         ) == ["RPRL008"]
+
+    def test_superpeer_is_in_scope(self):
+        # The cluster fold must stay on the packed columns, not regress
+        # to a per-row loop over a stored list.
+        source = """
+            def fold(stored, groups):
+                totals = {}
+                for row, cdf in enumerate(stored._cdf):
+                    totals[groups[row]] = totals.get(groups[row], 0) + cdf
+                return totals
+            """
+        findings = lint(source, "src/repro/topology/superpeer.py", only="RPRL008")
+        assert ids(findings) == ["RPRL008"]
+        assert "'_cdf'" in findings[0].message
 
     def test_out_of_scope_path_is_ignored(self):
         source = """

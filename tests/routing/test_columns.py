@@ -200,7 +200,7 @@ def test_no_rank_survives_a_write():
     # list entry, and one post removed from a queried term.
     table.intern("a-first")
     peer_lists["apple"].add(make_post("a-first", "apple", cdf=90, term_space=5))
-    del peer_lists["apple"].posts[first_plan[0]]
+    assert peer_lists["apple"].remove(first_plan[0])
     second_plan = route()
     assert table.name_ranks() is not ranks
     assert table.name_ranks()[table.lookup("a-first")] == 0

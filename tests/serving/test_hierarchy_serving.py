@@ -21,8 +21,9 @@ from repro.serving.cache import (
 )
 from repro.simnet.executor import SimNetExecutor
 from repro.simnet.faults import ChurnEvent, FaultPlan
+from repro.synopses.columnstore import TermColumns
 from repro.synopses.factory import SynopsisSpec
-from repro.topology import SuperPeerTopology
+from repro.topology import FlatTopology, SuperPeerTopology
 
 SPEC = SynopsisSpec.parse("mips-16")
 QUERY = Query(0, ("apple", "banana"))
@@ -141,7 +142,7 @@ class TestSynopsisCacheLRU:
             ReferenceSynopsisCache(SPEC, max_entries=0)
 
 
-def make_super_engine() -> MinervaEngine:
+def make_super_engine(topology=None) -> MinervaEngine:
     docs = {
         i: Document.from_terms(i, ["apple"] * (1 + i % 3) + ["banana"])
         for i in range(24)
@@ -154,7 +155,7 @@ def make_super_engine() -> MinervaEngine:
         collections,
         spec=SPEC,
         replicas=2,
-        topology=SuperPeerTopology(num_clusters=2, seed=0),
+        topology=topology or SuperPeerTopology(num_clusters=2, seed=0),
     )
     engine.publish({"apple", "banana"})
     return engine
@@ -365,3 +366,46 @@ class TestHierarchicalServing:
                 ]
             )
         assert outcomes[0] and outcomes[0] == outcomes[1]
+
+
+class TestMaintenanceReadsColumns:
+    """Cluster builds and refolds, churn upkeep and cold plans read the
+    stored columns: none of them rebuilds a stored Post."""
+
+    @pytest.mark.parametrize("topology_kind", ["flat", "super"])
+    def test_no_post_is_materialized(self, monkeypatch, topology_kind):
+        engine = make_super_engine(
+            FlatTopology() if topology_kind == "flat" else None
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a maintenance path materialized a Post")
+
+        monkeypatch.setattr(TermColumns, "post_fields", refuse)
+        topology = engine.topology
+        if topology_kind == "super":
+            clusters = topology.ensure_clusters()
+            member = clusters[0].members[0]
+            assert topology.handle_peer_down(member) is not None
+            topology.handle_peer_up(member)
+        crashed, departed = sorted(engine.peers)[-2:]
+        service = ChurnService(
+            engine,
+            ChurnSchedule(
+                [
+                    MembershipEvent(at_ms=1_000.0, peer_id=crashed, kind="crash"),
+                    MembershipEvent(at_ms=1_500.0, peer_id=departed, kind="leave"),
+                ],
+                horizon_ms=16_000.0,
+            ),
+            maintenance=MAINTENANCE,
+            seed=3,
+        )
+        front = ServingFrontend(service, IQNRouter(), **KNOBS)
+        cold = front.serve(QUERY, at_ms=5_000.0, initiator_id=INITIATOR)
+        front.run()
+        assert not cold.value.plan_hit and cold.value.queried
+        stats = service.stats
+        assert stats.leaves == 1 and stats.crashes == 1
+        assert stats.reposts > 0
+        assert stats.posts_expired > 0  # the crashed peer's Posts aged out

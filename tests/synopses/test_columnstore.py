@@ -318,10 +318,7 @@ class TestFromRows:
             # the first synopsis a list stores fixes its column.
             entries = [("packed", *entry[1:]) for entry in entries[:1]] + entries[1:]
             for index, posting in enumerate(entries):
-                source.add(
-                    make_post(f"{prefix}{index}", "t", family, posting),
-                    retain=False,
-                )
+                source.add(make_post(f"{prefix}{index}", "t", family, posting))
             sources.append(source)
         a, b = sources
         order_a = data.draw(st.permutations(range(len(a))))
@@ -339,7 +336,7 @@ class TestFromRows:
         posts = [src._post_at(row) for src, rows in chosen for row in rows]
         upserted = PeerList(term="t", peer_table=table)
         for post in posts:
-            upserted.add(post, retain=False)
+            upserted.add(post)
 
         assert list(gathered) == posts == list(upserted)
         assert gathered.size_in_bits == upserted.size_in_bits
@@ -369,7 +366,7 @@ class TestFromRows:
         table = PeerIdTable()
         source = PeerList(term="t", peer_table=table)
         for index, posting in enumerate(entries):
-            source.add(make_post(f"p{index}", "t", family, posting), retain=False)
+            source.add(make_post(f"p{index}", "t", family, posting))
         order = data.draw(st.permutations(range(len(source))))
         taken = data.draw(st.integers(min_value=0, max_value=len(order)))
         for rows in (order[:taken], []):
@@ -455,7 +452,7 @@ def seeded_lists(spec, *, peers=50, terms=("alpha", "beta", "gamma"), seed=42):
                 )
     for term in terms:
         for post in posts_by_term[term]:
-            shared[term].add(post, retain=False)
+            shared[term].add(post)
     # Same content on per-list private tables: the column view cannot
     # attach (tables differ), so routing runs the naive loop over the
     # caller's Post objects.

@@ -10,7 +10,6 @@ from repro.topology.clustering import (
     default_num_clusters,
     elect_super_peer,
     group_fold_synopses,
-    materialize_rows,
     peer_capacities,
     peer_profiles,
 )
@@ -167,7 +166,7 @@ class TestGroupFold:
             )
 
     def test_materialize_rows_round_trip(self):
-        """Materialized merged synopses score like the packed fold."""
+        """A merged packed row materializes to the object union."""
         engine = make_topical_engine("bf-512")
         term_columns = stored_columns(engine)[0]
         column = term_columns.synopsis_column
@@ -175,5 +174,7 @@ class TestGroupFold:
         merged = group_fold_synopses(
             column, rows, np.zeros(len(term_columns), dtype=np.int64), 1
         )
-        (synopsis,) = materialize_rows(column, merged)
-        assert synopsis.size_in_bits > 0
+        union = term_columns.synopsis_at(0)
+        for row in range(1, len(term_columns)):
+            union = union.union(term_columns.synopsis_at(row))
+        assert column.holding(merged).materialize(0) == union

@@ -9,8 +9,9 @@ import pytest
 from repro.core.aggregation import PerPeerAggregation, PerTermAggregation
 from repro.core.iqn import IQNRouter
 from repro.datasets.queries import Query
+from repro.datasets.scale import ScaledTestbed, ScaledTestbedConfig
 from repro.ir.documents import Corpus, Document
-from repro.minerva.posts import PeerList
+from repro.minerva.posts import PeerList, Post
 from repro.net.cost import CostModel, MessageKinds
 from repro.net.latency import LatencyProfile
 from repro.simnet.clock import spawn
@@ -279,8 +280,8 @@ class TestChurnHooks:
             stored = engine.directory.stored_list(term)
             first = next(iter(stored.posts))
             post = stored.get(first)
-            del stored.posts[first]
-            stored.add(post, retain=False)
+            stored.remove(first)
+            stored.add(post)
         topology = engine.topology
         topology.ensure_clusters()
 
@@ -335,6 +336,105 @@ class TestChurnHooks:
         assert bits == 0
 
 
+def cluster_entries(topology, terms):
+    """Every cluster list as ``{term: {label: fields}}``: floats as hex,
+    packed synopsis rows as bytes (``None`` without a synopsis)."""
+    lists, _ = topology.cluster_peer_lists(terms)
+    out = {}
+    for term, peer_list in lists.items():
+        columns = peer_list.columns
+        count = len(columns)
+        column = columns.synopsis_column
+        packed = None if column is None else column.rows(count)
+        flags = columns.synopsis_flags()
+        out[term] = {
+            label: (
+                int(columns.cdf_values()[row]),
+                float(columns.max_scores()[row]).hex(),
+                float(columns.avg_scores()[row]).hex(),
+                int(columns.term_space_values()[row]),
+                packed[row].tobytes() if flags[row] else None,
+            )
+            for row, label in enumerate(columns.table.names(columns.interned_ids()))
+        }
+    return out
+
+
+class TestRefoldEqualsRebuild:
+    """A cluster refolded by the churn hooks equals a fresh build's."""
+
+    @pytest.mark.parametrize("spec_label", ["mips-16", "bf-256"])
+    def test_moved_rows_then_down_and_up_match_a_fresh_build(self, spec_label):
+        config = ScaledTestbedConfig(num_peers=600, num_topics=6, seed=5)
+        testbed = ScaledTestbed(config, spec=SynopsisSpec.parse(spec_label, seed=2))
+        topology = SuperPeerTopology(seed=1)
+        topology.bind(testbed)
+        clusters = topology.ensure_clusters()
+        terms = tuple(sorted(testbed.directory.stored_terms()))
+        # Move stored rows as a TTL expiry and a recovery repost do: each
+        # removal swaps the last row into the hole, the repost appends,
+        # so stored order drifts away from member order.
+        for term in terms:
+            stored = testbed.directory.stored_list(term)
+            for peer_id in sorted(stored.peer_ids)[::3]:
+                post = stored.get(peer_id)
+                assert stored.remove(peer_id)
+                stored.add(post)
+        for cluster in clusters:
+            topology.handle_peer_down(cluster.members[-1])
+            topology.handle_peer_up(cluster.members[-1])
+        fresh = SuperPeerTopology(seed=1)
+        fresh.bind(testbed)
+        assert fresh.ensure_clusters() == clusters
+        assert cluster_entries(topology, terms) == cluster_entries(fresh, terms)
+
+    def test_cluster_without_synopses_keeps_an_entry_without_one(self):
+        engine = make_superpeer_engine()
+        # Another topic's peers post "apple" without synopses; with no
+        # synopsis their profiles, hence the clusters, stay the same.
+        stored = engine.directory.stored_list("apple")
+        strangers = sorted(set(engine.peers) - stored.peer_ids)[:2]
+        for peer_id in strangers:
+            stored.add(
+                Post(
+                    peer_id=peer_id,
+                    term="apple",
+                    cdf=3,
+                    max_score=0.5,
+                    avg_score=0.25,
+                    term_space_size=10,
+                )
+            )
+        topology = engine.topology
+        terms = tuple(sorted(engine.directory.stored_terms()))
+        posters = {topology.cluster_of(peer_id) for peer_id in stored.peer_ids}
+        bare = {topology.cluster_of(peer_id) for peer_id in strangers}
+        assert bare < posters
+        entries = cluster_entries(topology, terms)["apple"]
+        assert {label for label, fields in entries.items() if fields[4] is None} == bare
+        for label in sorted(bare):
+            member = topology.members_of(label)[-1]
+            topology.handle_peer_down(member)
+            topology.handle_peer_up(member)
+        fresh = SuperPeerTopology(num_clusters=3, seed=0)
+        fresh.bind(engine)
+        assert cluster_entries(topology, terms) == cluster_entries(fresh, terms)
+
+    def test_down_drops_and_up_restores_a_sole_posters_entry(self):
+        engine = make_superpeer_engine()
+        topology = engine.topology
+        terms = tuple(sorted(engine.directory.stored_terms()))
+        before = cluster_entries(topology, terms)
+        label = topology.clusters[0].label
+        for member in topology.members_of(label):
+            topology.handle_peer_down(member)
+        down = cluster_entries(topology, terms)
+        assert all(label not in entries for entries in down.values())
+        for member in topology.members_of(label):
+            topology.handle_peer_up(member)
+        assert cluster_entries(topology, terms) == before
+
+
 def oracle_scoped_lists(engine, topology, winners, terms):
     """Phase two post by post: each winner's live members in member
     order, every Post materialized and re-added — the assembly the
@@ -349,7 +449,7 @@ def oracle_scoped_lists(engine, topology, winners, terms):
             for member in topology.live_members(label):
                 post = None if stored is None else stored.get(member)
                 if post is not None:
-                    lists[term].add(post, retain=False)
+                    lists[term].add(post)
                     bits += post.size_in_bits
         fetch_bits.append(bits)
     return lists, fetch_bits
@@ -515,8 +615,8 @@ class TestNetworkedAssembly:
 
         def rewrite(source, peer_id):
             post = source.get(peer_id)
-            del source.posts[peer_id]
-            source.add(dataclasses.replace(post, cdf=post.cdf + 1000), retain=False)
+            source.remove(peer_id)
+            source.add(dataclasses.replace(post, cdf=post.cdf + 1000))
             rewritten.append((source.term, peer_id))
 
         def answer_then_rewrite(requests, node_id=None):

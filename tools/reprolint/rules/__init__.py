@@ -12,7 +12,7 @@ RPRL004     no-float-equality                              ``repro/synopses``, `
 RPRL005     public-api-hygiene (``__all__``)               ``src/repro``
 RPRL006     worker-entrypoints-take-seed                   ``src/repro``
 RPRL007     churn-event-streams-take-seed                  ``repro/churn``
-RPRL008     columnar-stays-packed                          ``repro/synopses/columnstore``, ``repro/core/fastpath``
+RPRL008     columnar-stays-packed                          ``repro/synopses/columnstore``, ``repro/core/fastpath``, ``repro/topology/superpeer``
 RPRL009     hypothesis-stays-deterministic                 ``tests/``
 ==========  =============================================  ==========================
 """

@@ -1,9 +1,11 @@
 """RPRL008 — columnar hot paths stay packed and vectorized.
 
-The column store (:mod:`repro.synopses.columnstore`) and the routing
-kernels that attach to it (:mod:`repro.core.fastpath`) exist to remove
-per-peer Python work from the query hot path.  Two regressions quietly
-destroy that guarantee while keeping every test green:
+The column store (:mod:`repro.synopses.columnstore`), the routing
+kernels that attach to it (:mod:`repro.core.fastpath`) and the
+super-peer tier's cluster fold (:mod:`repro.topology.superpeer`) exist
+to remove per-peer Python work from the query and maintenance paths.
+Two regressions quietly destroy that guarantee while keeping every test
+green:
 
 - **object-dtype arrays** — ``np.empty(n, dtype=object)`` stores boxed
   Python objects behind a numpy facade; every access re-enters the
@@ -82,7 +84,11 @@ class ColumnarStaysPacked(Rule):
         "loops over peer axes silently reintroduce the O(peers) interpreter "
         "cost the columnar design removes."
     )
-    scope_fragments = ("repro/synopses/columnstore", "repro/core/fastpath")
+    scope_fragments = (
+        "repro/synopses/columnstore",
+        "repro/core/fastpath",
+        "repro/topology/superpeer",
+    )
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
